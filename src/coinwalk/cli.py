@@ -151,12 +151,7 @@ def _cmd_walk(args) -> int:
     result = walk.run(config)
     tvd_vs_oracle = None
     if config.coin_builder != "dense-oracle" and config.n + 1 <= statevec.dense_limit():
-        oracle = walk.matrix_oracle_run(
-            config.field,
-            shift.shift_permutation_matrix(config.n),
-            config.steps,
-            walk.initial_state(config),
-        )
+        oracle = walk.matrix_oracle_run(config.field, config.steps, walk.initial_state(config))
         tvd_vs_oracle = walk.tvd(result.distribution, oracle.distribution)
     if args.out.endswith(".csv"):
         _write(args.out, walk.results_to_csv(result))

@@ -34,7 +34,6 @@ __all__ = [
     "is_unitary",
     "kron",
     "spectral_norm_diff",
-    "state_norm",
 ]
 
 ATOL_UNITARY = 1e-10
@@ -78,12 +77,6 @@ def is_unitary(m: np.ndarray, atol: float = ATOL_UNITARY) -> bool:
         return False
     eye = np.eye(m.shape[0])
     return bool(np.max(np.abs(m.conj().T @ m - eye)) <= atol)
-
-
-def state_norm(state) -> float:
-    if isinstance(state, SparseState):
-        return state.norm()
-    return float(np.linalg.norm(np.asarray(state)))
 
 
 def _validate_wires(num_qubits: int, targets, controls, dim: int):
@@ -248,12 +241,22 @@ def circuit_unitary(circuit) -> np.ndarray:
             "dense-limit-exceeded",
             f"circuit on {q} wires exceeds the dense cap {dense_limit()}",
         )
-    u = np.eye(1 << q, dtype=complex)
+    return _apply_circuit_to_columns(np.eye(1 << q, dtype=complex), circuit)
+
+
+def _apply_circuit_to_columns(block: np.ndarray, circuit) -> np.ndarray:
+    """Apply every gate of a circuit, in place, to each column of a 2-D block.
+
+    Axis 0 of ``block`` is the basis index over ``circuit.num_wires`` wires;
+    the tracked global phase is not applied.  Wires are not checked here:
+    a :class:`Circuit` has already checked its gates against its registers.
+    """
+    q = circuit.num_wires
     for gate in circuit.gates:
         _apply_matrix_inplace(
-            u, gate.matrix_on_targets(), gate.targets, gate.controls, q
+            block, gate.matrix_on_targets(), gate.targets, gate.controls, q
         )
-    return u
+    return block
 
 
 def full_unitary(circuit) -> np.ndarray:

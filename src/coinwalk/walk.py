@@ -1,10 +1,12 @@
 """Step composition W = S * C, evolution, and distribution extraction.
 
-The coin circuit may come from any builder.  Walk-layout builders evolve a
-dense vector of n+1 qubits; the linear-ancilla builder evolves a sparse
-state on its own layout with the shift gates remapped onto the principal
-coin and position wires, relying on the per-step ancilla restoration that
-the construction guarantees (and asserting it numerically).
+The coin circuit may come from any builder.  Walk-layout builders (naive,
+Walsh) are collapsed once into their ``(2^n, 2, 2)`` coin array, certified
+block-diagonal with a random probe, and each step of the dense vector is then
+a batched 2x2 coin followed by the shift circuit.  The linear-ancilla builder
+evolves a sparse state on its own layout with the shift gates remapped onto
+the principal coin and position wires, relying on the per-step ancilla
+restoration that the construction guarantees (and checking it numerically).
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from .errors import ToolkitError
 from . import statevec
 from .statevec import SparseState
 from .circuit import Circuit
-from .coins import CoinField, coin_field_from_json, coin_field_to_json, total_coin_matrix
+# total_coin_matrix is imported for perfbench's tracer test, which reads
+# walk.total_coin_matrix.
+from .coins import CoinField, coin_field_from_json, coin_field_to_json, total_coin_matrix  # noqa: F401
 from . import naive as naive_mod
 from . import linear as linear_mod
 from . import walsh as walsh_mod
@@ -46,6 +50,9 @@ _MAX_LINEAR_WIRES = 160
 
 _NORM_SLACK = 1e-9
 _ANCILLA_SLACK = 1e-8
+# largest |U z - blockdiag(B) z| / max|z| a collapsed coin may leave
+_COLLAPSE_SLACK = 1e-9
+_COLLAPSE_SEED = 20220101
 
 
 @dataclass(frozen=True)
@@ -137,42 +144,79 @@ def _sample(probs: np.ndarray, config: WalkConfig) -> np.ndarray | None:
     return rng.multinomial(config.shots, probs / probs.sum())
 
 
-def matrix_oracle_run(
-    field: CoinField, shift_matrix: np.ndarray, steps: int, init: np.ndarray
-) -> WalkResult:
-    """Reference evolution by dense matrix products, no circuits involved."""
+def _apply_coins(coins: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Coin k applied to the (2k, 2k+1) amplitude pair, for every node k."""
+    return np.einsum("kij,kj->ki", coins, vec.reshape(-1, 2)).reshape(-1)
+
+
+def _check_norm(norm: float) -> None:
+    if not abs(norm - 1.0) <= _NORM_SLACK:
+        raise ToolkitError("norm-drift", f"norm drifted to {norm}")
+
+
+def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkResult:
+    """Reference evolution in O(N) per step, no circuits involved.
+
+    Each step applies ``field.coins`` to the amplitude pairs, then rolls the
+    coin-0 column one node down and the coin-1 column one node up.
+    """
     if field.n + 1 > statevec.dense_limit():
         raise ToolkitError("dense-limit-exceeded", "oracle run needs n under the dense cap")
-    w = shift_matrix @ total_coin_matrix(field)
-    vec = np.asarray(init, dtype=complex).copy()
+    vec = np.asarray(init, dtype=complex)
     history = [_marginal_walk(vec)]
     for _ in range(steps):
-        vec = w @ vec
+        pairs = _apply_coins(field.coins, vec).reshape(-1, 2)
+        vec = np.stack([np.roll(pairs[:, 0], -1), np.roll(pairs[:, 1], 1)], axis=1).reshape(-1)
         history.append(_marginal_walk(vec))
     return WalkResult(Distribution(history[-1]), vec, history)
 
 
+def _collapse_coin(circuit: Circuit, n: int) -> np.ndarray:
+    """The ``(2^n, 2, 2)`` coin array of a walk-layout coin circuit.
+
+    One pass of the circuit over three columns: coin 0 at every node, coin 1
+    at every node, and a complex Gaussian vector ``z``.  The first two give
+    each node's coin if the operator is block-diagonal; ``z`` certifies that
+    it is (Freivalds): any other operator moves ``U z`` away from
+    ``blockdiag(B) z`` with probability one.
+    """
+    regs = circuit.registers
+    if regs.layout != "walk" or regs.num_wires != n + 1:
+        raise ToolkitError(
+            "coin-not-block-diagonal",
+            f"coin circuit on a {regs.layout} layout of {regs.num_wires} wires, not walk n={n}",
+        )
+    size = 1 << (n + 1)
+    rng = np.random.default_rng(_COLLAPSE_SEED)
+    z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    block = np.zeros((size, 3), dtype=complex)
+    block[0::2, 0] = 1.0
+    block[1::2, 1] = 1.0
+    block[:, 2] = z
+    statevec._apply_circuit_to_columns(block, circuit)
+    block *= np.exp(1j * float(circuit.metadata.get("global_phase", 0.0)))
+    coins = block[:, :2].reshape(-1, 2, 2)  # row 2k+i, column j -> coins[k, i, j]
+    residual = float(np.max(np.abs(block[:, 2] - _apply_coins(coins, z))))
+    if not residual <= _COLLAPSE_SLACK * float(np.max(np.abs(z))):
+        raise ToolkitError(
+            "coin-not-block-diagonal",
+            f"coin circuit leaves residual {residual:.3e} off the 2x2 blocks",
+        )
+    return coins
+
+
 def _run_dense_circuit(config: WalkConfig, coin_circuit: Circuit | None) -> WalkResult:
+    """Dense walk; the coin is the field itself when no circuit is given."""
     n = config.n
     if n + 1 > statevec.dense_limit():
         raise ToolkitError("dense-limit-exceeded", f"walk layout for n={n} is over the cap")
     shift_circuit = _shift_circuit(config)
     vec = initial_state(config)
-    phase = 0.0
-    if coin_circuit is not None:
-        phase = float(coin_circuit.metadata.get("global_phase", 0.0))
-    coin_matrix = None if coin_circuit is not None else total_coin_matrix(config.field)
+    coins = config.field.coins if coin_circuit is None else _collapse_coin(coin_circuit, n)
     history = [_marginal_walk(vec)]
     for _ in range(config.steps):
-        if coin_circuit is None:
-            vec = coin_matrix @ vec
-        else:
-            vec = statevec.apply_circuit(vec, coin_circuit)
-            if phase:
-                vec = np.exp(1j * phase) * vec
-        vec = statevec.apply_circuit(vec, shift_circuit)
-        norm = float(np.linalg.norm(vec))
-        assert abs(norm - 1.0) <= _NORM_SLACK, f"norm drifted to {norm}"
+        vec = statevec.apply_circuit(_apply_coins(coins, vec), shift_circuit)
+        _check_norm(float(np.linalg.norm(vec)))
         history.append(_marginal_walk(vec))
     probs = history[-1]
     return WalkResult(Distribution(probs, _sample(probs, config)), vec, history)
@@ -234,11 +278,11 @@ def _run_linear(config: WalkConfig) -> WalkResult:
         residual = max(
             (abs(a) for idx, a in state.items() if idx & ancilla_mask), default=0.0
         )
-        assert residual <= _ANCILLA_SLACK, f"ancilla residual {residual}"
+        if not residual <= _ANCILLA_SLACK:
+            raise ToolkitError("ancilla-residual", f"ancilla residual {residual}")
         for g in shift_gates:
             state = state.apply_gate(g.matrix_on_targets(), g.targets, g.controls)
-        norm = state.norm()
-        assert abs(norm - 1.0) <= _NORM_SLACK, f"norm drifted to {norm}"
+        _check_norm(state.norm())
         history.append(marginal(state))
     probs = history[-1]
     return WalkResult(Distribution(probs, _sample(probs, config)), state, history)

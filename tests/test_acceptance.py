@@ -313,12 +313,7 @@ def test_criterion_7_quadratic_well_trapping(report):
     oracle_probs = {}
     for charge in (1, 0, -1):
         config = WalkConfig(n, pinned["steps"], field_for(charge), initial=pinned["initial"])
-        result = matrix_oracle_run(
-            config.field,
-            shift_permutation_matrix(n),
-            config.steps,
-            initial_state(config),
-        )
+        result = matrix_oracle_run(config.field, config.steps, initial_state(config))
         oracle_probs[charge] = result.distribution.probabilities
         masses[charge] = window_mass(oracle_probs[charge])
 

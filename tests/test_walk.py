@@ -1,15 +1,25 @@
 """End-to-end walk runner: backends against the matrix oracle."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coinwalk.walk as walk_module
 from coinwalk import (
+    GateInstance,
     ToolkitError,
     WalkConfig,
+    build_linear,
+    build_naive,
+    build_walsh_coin,
     config_from_json,
     config_to_json,
+    full_unitary,
     identity_field,
     initial_state,
     matrix_oracle_run,
@@ -18,17 +28,15 @@ from coinwalk import (
     results_to_json,
     run,
     shift_permutation_matrix,
+    total_coin_matrix,
     tvd,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def oracle(config):
-    return matrix_oracle_run(
-        config.field,
-        shift_permutation_matrix(config.n),
-        config.steps,
-        initial_state(config),
-    )
+    return matrix_oracle_run(config.field, config.steps, initial_state(config))
 
 
 INITIAL = {"position": 1, "coin": [[0.7071067811865476, 0.0], [0.0, 0.7071067811865476]]}
@@ -62,6 +70,127 @@ def test_oracle_respects_dense_cap(monkeypatch):
     with pytest.raises(ToolkitError) as err:
         oracle(config)
     assert err.value.code == "dense-limit-exceeded"
+
+
+def test_oracle_matches_dense_matrix_product():
+    for n in range(1, 6):
+        config = WalkConfig(n, 7, random_field(n, seed=40 + n), initial=INITIAL)
+        w = shift_permutation_matrix(n) @ total_coin_matrix(config.field)
+        want = np.linalg.matrix_power(w, config.steps) @ initial_state(config)
+        got = oracle(config).final_state
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# -- coin collapse -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [GateInstance("x", (), (1,)), GateInstance("rx", (), (2,), 1e-6)],
+    ids=["x-on-position", "tiny-rx-on-position"],
+)
+def test_collapse_rejects_a_coin_off_the_blocks(monkeypatch, extra):
+    monkeypatch.setattr(
+        walk_module.naive_mod, "build_naive", lambda field: build_naive(field).extended([extra])
+    )
+    config = WalkConfig(2, 1, random_field(2, seed=9), coin_builder="naive")
+    with pytest.raises(ToolkitError) as err:
+        run(config)
+    assert err.value.code == "coin-not-block-diagonal"
+
+
+def test_collapse_rejects_a_circuit_off_the_walk_layout():
+    field = random_field(2, seed=9)
+    for circuit, n in ((build_naive(field), 3), (build_linear(field), 2)):
+        with pytest.raises(ToolkitError) as err:
+            walk_module._collapse_coin(circuit, n)
+        assert err.value.code == "coin-not-block-diagonal"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "build",
+    [build_naive, build_walsh_coin, lambda field: build_walsh_coin(field, m=min(2, field.n))],
+    ids=["naive", "walsh", "walsh-m2"],
+)
+def test_collapse_matches_full_unitary_blocks(n, build):
+    # Walsh circuits carry a nonzero tracked global phase: the collapse must apply it.
+    circuit = build(random_field(n, seed=60 + n))
+    u = full_unitary(circuit)
+    want = np.array([u[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] for k in range(1 << n)])
+    got = walk_module._collapse_coin(circuit, n)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# -- runtime invariants ------------------------------------------------------
+
+
+@pytest.mark.parametrize("builder", ["dense-oracle", "naive", "linear"])
+def test_norm_drift_raises(monkeypatch, builder):
+    monkeypatch.setattr(walk_module, "_NORM_SLACK", -1.0)
+    with pytest.raises(ToolkitError) as err:
+        run(WalkConfig(2, 1, random_field(2, seed=4), coin_builder=builder))
+    assert err.value.code == "norm-drift"
+
+
+def test_ancilla_residual_raises(monkeypatch):
+    monkeypatch.setattr(walk_module, "_ANCILLA_SLACK", -1.0)
+    with pytest.raises(ToolkitError) as err:
+        run(WalkConfig(2, 1, random_field(2, seed=4), coin_builder="linear"))
+    assert err.value.code == "ancilla-residual"
+
+
+def test_norm_check_raises_under_python_O(tmp_path):
+    code = "\n".join([
+        "import coinwalk.walk as w",
+        "from coinwalk import ToolkitError, identity_field",
+        "w._NORM_SLACK = -1.0",
+        "print(__debug__)",
+        "try:",
+        "    w.run(w.WalkConfig(2, 1, identity_field(2)))",
+        "except ToolkitError as exc:",
+        "    print(exc.code)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "norm-drift"]
+
+
+def test_dense_oracle_walk_memory(tmp_path):
+    # A dense 2^(n+1) square matrix at n=11 is 268 MB; the walk needs none.
+    pytest.importorskip("resource")
+    n = 11
+    config_path = tmp_path / "walk.json"
+    config_path.write_text(json.dumps(config_to_json(WalkConfig(n, 3, random_field(n, seed=1)))))
+    walk_cmd = [
+        sys.executable, "-m", "coinwalk.cli", "walk",
+        "--config", str(config_path), "--out", str(tmp_path / "out.json"),
+    ]
+    # a wrapper process, so RUSAGE_CHILDREN sees this walk and no other child
+    measure = (
+        "import resource, subprocess, sys; "
+        "code = subprocess.run(sys.argv[1:]).returncode; "
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", measure, *walk_cmd],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, maxrss_kb = (int(v) for v in proc.stdout.split()[-2:])
+    assert code == 0, proc.stderr
+    assert maxrss_kb * 1024 < 200 * 10**6, f"walk peak RSS {maxrss_kb / 1024:.0f} MiB"
 
 
 # -- backends agree ----------------------------------------------------------
