@@ -38,6 +38,7 @@ from .linear import (
     build_q1_naive,
     build_q1_parallel,
     build_q2,
+    coin_blocks,
     predicted_depth,
 )
 from .naive import build_naive, tower
@@ -110,6 +111,7 @@ __all__ = [
     "circuit_from_json",
     "circuit_to_json",
     "circuit_unitary",
+    "coin_blocks",
     "coin_field_from_json",
     "coin_field_to_json",
     "coin_from_k_params",

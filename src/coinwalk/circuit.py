@@ -144,16 +144,6 @@ class GateInstance:
             return _ANGLED[self.kind](self.angle)
         return self.matrix
 
-    def remapped(self, wire_map) -> "GateInstance":
-        return GateInstance(
-            self.kind,
-            tuple(wire_map[w] for w in self.controls),
-            tuple(wire_map[w] for w in self.targets),
-            self.angle,
-            self.matrix,
-            self.label,
-        )
-
 
 def dagger(gate: GateInstance) -> GateInstance:
     """Inverse of a single gate instance."""
@@ -230,6 +220,14 @@ class RegisterMap:
 
     def apos(self, m: int) -> int:
         return self._reg("apos")[m]
+
+    def embed(self, k: int, c: int) -> int:
+        """Basis index of position ``k`` and coin bit ``c``, every other wire at 0."""
+        index = c << self.coin()
+        for p in range(self.n):
+            if (k >> p) & 1:
+                index |= 1 << self.position(p)
+        return index
 
 
 @dataclass
@@ -316,11 +314,12 @@ def _gate_from_dict(d: dict) -> GateInstance:
         matrix = np.array(
             [[complex(re, im) for re, im in row] for row in d["matrix"]]
         )
+    angle = d.get("angle")
     return GateInstance(
         d["kind"],
         tuple(d.get("controls", ())),
         tuple(d.get("targets", ())),
-        d.get("angle"),
+        None if angle is None else float(angle),
         matrix,
         d.get("label"),
     )
@@ -355,7 +354,12 @@ def circuit_from_json(text: str) -> Circuit:
         raise ValueError("not a coinwalk circuit document")
     layout = payload["layout"]
     n = payload["n"]
-    registers = RegisterMap.walk(n) if layout == "walk" else RegisterMap.linear(n)
+    if layout == "walk":
+        registers = RegisterMap.walk(n)
+    elif layout == "linear-ancilla":
+        registers = RegisterMap.linear(n)
+    else:
+        raise ValueError(f"unknown circuit layout {layout!r}")
     gates = tuple(_gate_from_dict(d) for d in payload["gates"])
     meta = payload.get("metadata", {})
     if "walsh" in meta and meta["walsh"] is not None:

@@ -102,27 +102,8 @@ def _verify_naive(n: int, seed: int) -> float:
 
 def _verify_linear(n: int, seed: int) -> float:
     field = coins.random_field(n, seed=seed)
-    circ = linear.build_linear(field)
-    regs = circ.registers
-    c_mat = coins.total_coin_matrix(field)
-    worst = 0.0
-    for k in range(1 << n):
-        base = 0
-        for p in range(n):
-            if (k >> p) & 1:
-                base |= 1 << regs.position(p)
-        for s0 in (0, 1):
-            init = base | (s0 << regs.coin())
-            state = statevec.SparseState.from_basis(regs.num_wires, init)
-            state = statevec.apply_circuit(state, circ)
-            want = {}
-            for c in (0, 1):
-                amp = c_mat[2 * k + c, 2 * k + s0]
-                if abs(amp) > 1e-14:
-                    want[base | (c << regs.coin())] = amp
-            for key in set(state.amplitudes) | set(want):
-                worst = max(worst, abs(state.amplitude(key) - want.get(key, 0.0)))
-    return worst
+    blocks, residual = linear.coin_blocks(linear.build_linear(field))
+    return max(float(np.max(np.abs(blocks - field.coins))), residual)
 
 
 def _verify_walsh(n: int, seed: int) -> float:

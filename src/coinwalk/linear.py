@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import statevec
 from .circuit import Circuit, GateInstance, RegisterMap, dagger
 from .coins import CoinField
 
@@ -25,6 +26,7 @@ __all__ = [
     "build_q1_naive",
     "build_q1_parallel",
     "build_q2",
+    "coin_blocks",
     "predicted_depth",
 ]
 
@@ -184,6 +186,29 @@ def build_linear(field: CoinField, parallel: bool = True) -> Circuit:
     )
     meta = {"builder": "linear", "n": n, "parallel": parallel}
     return Circuit(q1.registers, tuple(gates), meta)
+
+
+def coin_blocks(circuit: Circuit) -> tuple[np.ndarray, float]:
+    """The ``(2^n, 2, 2)`` coin array a linear circuit applies, and its residual.
+
+    Every data input ``|k, c>`` (all other wires at |0>) runs through the
+    sparse kernel, so the array is exact: ``coins[k][c', c]`` is the
+    amplitude left on ``|k, c'>``.  ``residual`` is the largest amplitude
+    left anywhere else; by linearity, zero on every basis input means the
+    ancillas come back to |0> on every input state.  No global phase is
+    applied: :func:`build_linear` tracks none.
+    """
+    regs = circuit.registers
+    coins = np.zeros((1 << regs.n, 2, 2), dtype=complex)
+    residual = 0.0
+    for k in range(1 << regs.n):
+        for c in (0, 1):
+            start = statevec.SparseState.from_basis(regs.num_wires, regs.embed(k, c))
+            out = dict(statevec.apply_circuit(start, circuit).items())
+            for c_out in (0, 1):
+                coins[k, c_out, c] = out.pop(regs.embed(k, c_out), 0.0)
+            residual = max([residual, *map(abs, out.values())])
+    return coins, residual
 
 
 def predicted_depth(n: int) -> int:

@@ -133,12 +133,17 @@ def from_qasm(text: str) -> Circuit:
         name, idx = m.group(1), int(m.group(2))
         for reg_name, wires in regs.registers:
             if reg_name == name:
+                if idx >= len(wires):
+                    raise ValueError(f"wire {ref.strip()} past register {name}[{len(wires)}]")
                 return wires[idx]
         raise ValueError(f"unknown register {name!r}")
 
     instances = []
     for name, angle, refs in gates:
         wires = [wire_of(r) for r in refs]
+        arity = 2 if name in _CONTROLLED else 1
+        if len(wires) != arity:
+            raise ValueError(f"{name} takes {arity} operands, got {len(wires)}")
         kind = _KIND_FOR[name]
         if name in _CONTROLLED:
             instances.append(GateInstance(kind, (wires[0],), (wires[1],), angle))

@@ -146,6 +146,4 @@ def predicted_cost(scheme: str, n: int) -> tuple[int, int]:
         return (n * n + 4 * n + 1, 2 * n + 3)
     if scheme == "id":
         return (n * (2 * n * n - 6 * n + 7) // 3, 2 * (2 * n * n - 8 * n + 9))
-    if scheme == "id-ancilla":
-        return (10 * n * n - 50 * n + 67, 2 * (4 * n * n - 20 * n + 27))
     raise ValueError(f"unknown shift scheme {scheme!r}")

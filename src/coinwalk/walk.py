@@ -1,12 +1,12 @@
 """Step composition W = S * C, evolution, and distribution extraction.
 
-The coin circuit may come from any builder.  Walk-layout builders (naive,
-Walsh) are collapsed once into their ``(2^n, 2, 2)`` coin array, certified
-block-diagonal with a random probe, and each step of the dense vector is then
-a batched 2x2 coin followed by the shift circuit.  The linear-ancilla builder
-evolves a sparse state on its own layout with the shift gates remapped onto
-the principal coin and position wires, relying on the per-step ancilla
-restoration that the construction guarantees (and checking it numerically).
+The coin circuit may come from any builder, and every builder is collapsed
+once into its ``(2^n, 2, 2)`` coin array.  Walk-layout builders (naive,
+Walsh) are collapsed in one dense pass and certified block-diagonal with a
+random probe; the linear-ancilla builder is collapsed exactly, over its
+2^(n+1) basis inputs, with every ancilla checked back at |0>.  Each step of
+the dense walk-layout vector is then a batched 2x2 coin followed by the
+shift circuit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ToolkitError
 from . import statevec
-from .statevec import SparseState
 from .circuit import Circuit
 # total_coin_matrix is imported for perfbench's tracer test, which reads
 # walk.total_coin_matrix.
@@ -95,7 +94,7 @@ class Distribution:
 @dataclass
 class WalkResult:
     distribution: Distribution
-    final_state: object
+    final_state: np.ndarray
     history: list[np.ndarray] = dc_field(default_factory=list)
 
 
@@ -205,14 +204,41 @@ def _collapse_coin(circuit: Circuit, n: int) -> np.ndarray:
     return coins
 
 
-def _run_dense_circuit(config: WalkConfig, coin_circuit: Circuit | None) -> WalkResult:
-    """Dense walk; the coin is the field itself when no circuit is given."""
+def _shift_circuit(config: WalkConfig) -> Circuit:
+    if config.shift_scheme == "qft":
+        return shift_mod.build_shift_qft(config.n)
+    return shift_mod.build_shift_id(config.n)
+
+
+def _coin_array(config: WalkConfig) -> np.ndarray:
+    """The walk's ``(2^n, 2, 2)`` coin array: the field, or its builder's circuit collapsed."""
+    field = config.field
+    if config.coin_builder == "dense-oracle":
+        return field.coins
+    if config.coin_builder == "naive":
+        return _collapse_coin(naive_mod.build_naive(field), config.n)
+    if config.coin_builder == "walsh":
+        return _collapse_coin(walsh_mod.build_walsh_coin(field, m=config.truncation), config.n)
+    circuit = linear_mod.build_linear(field)
+    if circuit.num_wires > _MAX_LINEAR_WIRES:
+        raise ToolkitError(
+            "backend-infeasible",
+            f"linear layout needs {circuit.num_wires} wires, cap {_MAX_LINEAR_WIRES}",
+        )
+    coins, residual = linear_mod.coin_blocks(circuit)
+    if not residual <= _ANCILLA_SLACK:
+        raise ToolkitError("ancilla-residual", f"ancilla residual {residual}")
+    return coins
+
+
+def run(config: WalkConfig) -> WalkResult:
+    """Evolve per step as coin then shift; exact marginals, optional sampling."""
     n = config.n
     if n + 1 > statevec.dense_limit():
         raise ToolkitError("dense-limit-exceeded", f"walk layout for n={n} is over the cap")
     shift_circuit = _shift_circuit(config)
     vec = initial_state(config)
-    coins = config.field.coins if coin_circuit is None else _collapse_coin(coin_circuit, n)
+    coins = _coin_array(config)
     history = [_marginal_walk(vec)]
     for _ in range(config.steps):
         vec = statevec.apply_circuit(_apply_coins(coins, vec), shift_circuit)
@@ -220,84 +246,6 @@ def _run_dense_circuit(config: WalkConfig, coin_circuit: Circuit | None) -> Walk
         history.append(_marginal_walk(vec))
     probs = history[-1]
     return WalkResult(Distribution(probs, _sample(probs, config)), vec, history)
-
-
-def _shift_circuit(config: WalkConfig) -> Circuit:
-    if config.shift_scheme == "qft":
-        return shift_mod.build_shift_qft(config.n)
-    return shift_mod.build_shift_id(config.n)
-
-
-def _run_linear(config: WalkConfig) -> WalkResult:
-    n = config.n
-    coin_circuit = linear_mod.build_linear(config.field)
-    regs = coin_circuit.registers
-    if regs.num_wires > _MAX_LINEAR_WIRES:
-        raise ToolkitError(
-            "backend-infeasible",
-            f"linear layout needs {regs.num_wires} wires, cap {_MAX_LINEAR_WIRES}",
-        )
-    wire_map = {0: regs.coin()}
-    for p in range(n):
-        wire_map[1 + p] = regs.position(p)
-    shift_gates = [g.remapped(wire_map) for g in _shift_circuit(config).gates]
-
-    ancilla_mask = 0
-    for m in range(1 << n):
-        ancilla_mask |= 1 << regs.apos(m)
-    for m in range(1, 1 << n):
-        ancilla_mask |= 1 << regs.acoin(m)
-
-    spec = config.initial or {}
-    k = int(spec.get("position", 0))
-    if not 0 <= k < 1 << n:
-        raise ToolkitError("index-out-of-range", f"initial position {k} for n={n}")
-    amps = _coin_amplitudes(spec)
-    base = 0
-    for p in range(n):
-        if (k >> p) & 1:
-            base |= 1 << regs.position(p)
-    state = SparseState(
-        regs.num_wires,
-        {base: amps[0], base | (1 << regs.coin()): amps[1]},
-    )
-
-    def marginal(s: SparseState) -> np.ndarray:
-        probs = np.zeros(1 << n)
-        for idx, amp in s.items():
-            kk = 0
-            for p in range(n):
-                if (idx >> regs.position(p)) & 1:
-                    kk |= 1 << p
-            probs[kk] += abs(amp) ** 2
-        return probs
-
-    history = [marginal(state)]
-    for _ in range(config.steps):
-        state = statevec.apply_circuit(state, coin_circuit)
-        residual = max(
-            (abs(a) for idx, a in state.items() if idx & ancilla_mask), default=0.0
-        )
-        if not residual <= _ANCILLA_SLACK:
-            raise ToolkitError("ancilla-residual", f"ancilla residual {residual}")
-        for g in shift_gates:
-            state = state.apply_gate(g.matrix_on_targets(), g.targets, g.controls)
-        _check_norm(state.norm())
-        history.append(marginal(state))
-    probs = history[-1]
-    return WalkResult(Distribution(probs, _sample(probs, config)), state, history)
-
-
-def run(config: WalkConfig) -> WalkResult:
-    """Evolve per step as coin then shift; exact marginals, optional sampling."""
-    if config.coin_builder == "dense-oracle":
-        return _run_dense_circuit(config, None)
-    if config.coin_builder == "naive":
-        return _run_dense_circuit(config, naive_mod.build_naive(config.field))
-    if config.coin_builder == "walsh":
-        circuit = walsh_mod.build_walsh_coin(config.field, m=config.truncation)
-        return _run_dense_circuit(config, circuit)
-    return _run_linear(config)
 
 
 # -- serialization -------------------------------------------------------------

@@ -86,14 +86,6 @@ def unitary_with_phase(circuit):
     return np.exp(1j * phase) * circuit_unitary(circuit)
 
 
-def data_index(regs, k, coin):
-    index = coin << regs.coin()
-    for p in range(regs.n):
-        if (k >> p) & 1:
-            index |= 1 << regs.position(p)
-    return index
-
-
 def test_criterion_1_sequential_coin_equivalence(report):
     started = time.perf_counter()
     worst = 0.0
@@ -144,13 +136,13 @@ def test_criterion_2_parallel_coin_application(report):
             vec = np.zeros(dim, dtype=complex)
             for k in range(1 << n):
                 for c in (0, 1):
-                    vec[data_index(regs, k, c)] = data[2 * k + c]
+                    vec[regs.embed(k, c)] = data[2 * k + c]
             out = apply_circuit(vec, circ)
             applied = c_mat @ data
             want = np.zeros(dim, dtype=complex)
             for k in range(1 << n):
                 for c in (0, 1):
-                    want[data_index(regs, k, c)] = applied[2 * k + c]
+                    want[regs.embed(k, c)] = applied[2 * k + c]
             worst = max(worst, float(np.max(np.abs(out - want))))
             lifted = np.flatnonzero(np.abs(out) > 1e-13)
             residual = max(
@@ -172,10 +164,10 @@ def test_criterion_2_parallel_coin_application(report):
             ancilla_mask |= 1 << regs.acoin(m)
         for k in range(1 << n):
             for c in (0, 1):
-                state = SparseState.from_basis(regs.num_wires, data_index(regs, k, c))
+                state = SparseState.from_basis(regs.num_wires, regs.embed(k, c))
                 state = apply_circuit(state, circ)
                 want = {
-                    data_index(regs, k, out_c): c_mat[2 * k + out_c, 2 * k + c]
+                    regs.embed(k, out_c): c_mat[2 * k + out_c, 2 * k + c]
                     for out_c in (0, 1)
                 }
                 for key in set(state.amplitudes) | set(want):

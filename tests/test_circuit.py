@@ -89,10 +89,15 @@ def test_dagger_inverts_every_kind():
         assert np.allclose(u @ v, np.eye(u.shape[0]), atol=1e-12)
 
 
-def test_remapped_moves_all_wires():
-    g = GateInstance("cswap", controls=(0,), targets=(1, 2))
-    h = g.remapped({0: 5, 1: 3, 2: 7})
-    assert h.controls == (5,) and h.targets == (3, 7)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_embed_matches_the_layout_closed_forms(n):
+    # module docstring: walk index 2k + c; linear-ancilla index
+    # (2k + s0) << (2^(n+1) - 1) with every ancilla at 0
+    walk, linear = RegisterMap.walk(n), RegisterMap.linear(n)
+    for k in range(1 << n):
+        for c in (0, 1):
+            assert walk.embed(k, c) == 2 * k + c
+            assert linear.embed(k, c) == (2 * k + c) << ((2 << n) - 1)
 
 
 def test_walk_register_layout():

@@ -167,6 +167,22 @@ def test_broken_coin_spec_maps_to_toolkit_error(tmp_path, capsys):
     assert "error [not-unitary]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(layout="ring"),
+        lambda doc: doc["gates"].append({"kind": "rz", "targets": [0], "angle": "abc"}),
+    ],
+    ids=["unknown-layout", "string-angle"],
+)
+def test_bad_circuit_json_is_a_usage_error(tmp_path, capsys, edit):
+    doc = {"format": "coinwalk-circuit/1", "n": 2, "layout": "walk", "metadata": {}, "gates": []}
+    edit(doc)
+    rc = main(["analyze", "--circuit", write_json(tmp_path / "bad.json", doc)])
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_unknown_choice_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["build", "--construction", "magic", "--coin", "x", "--out", "y"])

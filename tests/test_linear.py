@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coinwalk import (
+    GateInstance,
     SparseState,
     apply_circuit,
     build_linear,
@@ -10,7 +11,9 @@ from coinwalk import (
     build_q1_parallel,
     build_q2,
     circuit_unitary,
+    coin_blocks,
     depth,
+    identity_field,
     predicted_depth,
     random_field,
     total_coin_matrix,
@@ -35,14 +38,6 @@ def classical_run(circuit, index):
     return index
 
 
-def walk_slice_index(regs, k, coin):
-    index = coin << regs.coin()
-    for p in range(regs.n):
-        if (k >> p) & 1:
-            index |= 1 << regs.position(p)
-    return index
-
-
 def test_q0_is_one_layer_of_controlled_coins():
     field = random_field(3, seed=4)
     q0 = build_q0(field)
@@ -60,7 +55,7 @@ def test_q1_marks_the_walker_position(n):
         regs = q1.registers
         for k in range(1 << n):
             for coin in (0, 1):
-                start = walk_slice_index(regs, k, coin)
+                start = regs.embed(k, coin)
                 out = classical_run(q1, start)
                 assert out == start | (1 << regs.apos(k))
 
@@ -74,7 +69,7 @@ def test_q1_variants_agree_on_cleared_ancillas(n):
     regs = naive.registers
     for k in range(1 << n):
         for coin in (0, 1):
-            start = walk_slice_index(regs, k, coin)
+            start = regs.embed(k, coin)
             want = start | (1 << regs.apos(k))
             assert classical_run(naive, start) == want
             assert classical_run(parallel, start) == want
@@ -101,10 +96,10 @@ def test_build_linear_equals_coin_on_zero_ancilla_columns(n):
     c = total_coin_matrix(field)
     for k in range(1 << n):
         for coin in (0, 1):
-            col = u[:, walk_slice_index(regs, k, coin)]
+            col = u[:, regs.embed(k, coin)]
             want = np.zeros_like(col)
             for c_out in (0, 1):
-                want[walk_slice_index(regs, k, c_out)] = c[2 * k + c_out, 2 * k + coin]
+                want[regs.embed(k, c_out)] = c[2 * k + c_out, 2 * k + coin]
             assert np.max(np.abs(col - want)) <= 1e-10
 
 
@@ -121,13 +116,13 @@ def test_build_linear_on_superposed_inputs():
         vec = np.zeros(1 << regs.num_wires, dtype=complex)
         for k in range(1 << n):
             for coin in (0, 1):
-                vec[walk_slice_index(regs, k, coin)] = amps[2 * k + coin]
+                vec[regs.embed(k, coin)] = amps[2 * k + coin]
         out = apply_circuit(vec, circ)
         want_walk = c @ amps
         want = np.zeros_like(vec)
         for k in range(1 << n):
             for coin in (0, 1):
-                want[walk_slice_index(regs, k, coin)] = want_walk[2 * k + coin]
+                want[regs.embed(k, coin)] = want_walk[2 * k + coin]
         assert np.max(np.abs(out - want)) <= 1e-10
 
 
@@ -139,14 +134,30 @@ def test_build_linear_sparse_route_restores_ancillas():
     c = total_coin_matrix(field)
     for k in (0, 3, 5, 7):
         for coin in (0, 1):
-            state = SparseState.from_basis(regs.num_wires, walk_slice_index(regs, k, coin))
+            state = SparseState.from_basis(regs.num_wires, regs.embed(k, coin))
             out = apply_circuit(state, circ)
             for index, amp in out.items():
                 mask = index & ~((1 << regs.coin()) | sum(1 << regs.position(p) for p in range(n)))
                 assert mask == 0 or abs(amp) <= 1e-10
             for c_out in (0, 1):
-                got = out.amplitude(walk_slice_index(regs, k, c_out))
+                got = out.amplitude(regs.embed(k, c_out))
                 assert abs(got - c[2 * k + c_out, 2 * k + coin]) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coin_blocks_equal_the_field(n):
+    field = random_field(n, seed=30 + n)
+    coins, residual = coin_blocks(build_linear(field))
+    assert coins.shape == (1 << n, 2, 2)
+    assert np.max(np.abs(coins - field.coins)) <= 1e-12
+    assert residual <= 1e-12
+
+
+def test_coin_blocks_report_an_ancilla_left_set():
+    circ = build_linear(identity_field(2))
+    flipped = circ.extended([GateInstance("x", (), (circ.registers.apos(0),))])
+    _, residual = coin_blocks(flipped)
+    assert residual == 1.0
 
 
 def test_serial_and_parallel_q1_agree_on_the_working_subspace():
@@ -156,7 +167,7 @@ def test_serial_and_parallel_q1_agree_on_the_working_subspace():
     a = circuit_unitary(build_linear(field, parallel=True))
     b = circuit_unitary(build_linear(field, parallel=False))
     regs = build_linear(field).registers
-    cols = [walk_slice_index(regs, k, c) for k in range(4) for c in (0, 1)]
+    cols = [regs.embed(k, c) for k in range(4) for c in (0, 1)]
     assert np.max(np.abs(a[:, cols] - b[:, cols])) <= 1e-10
 
 

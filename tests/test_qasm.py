@@ -113,6 +113,22 @@ def test_parser_rejects_garbage_and_bad_layout():
         from_qasm("// layout walk n=2\nqreg coin[1];\nqreg pos[1];\n")
 
 
+WALK2_HEADER = "// layout walk n=2\nqreg coin[1];\nqreg position[2];\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "rz(0.5) position[5];",  # past the end of a 2-wire register
+        "cx position[0];",  # two-qubit gate with one operand
+        "x coin[0],position[1];",  # one-qubit gate with two operands
+    ],
+)
+def test_parser_rejects_bad_operands(line):
+    with pytest.raises(ValueError):
+        from_qasm(WALK2_HEADER + line + "\n")
+
+
 def test_parser_tolerates_noise_lines():
     circuit = compile_circuit(build_shift_id(2))
     noisy = "\n\n// a stray remark\n" + to_qasm(circuit).replace("\n", "\n\n")

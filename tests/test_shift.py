@@ -88,7 +88,6 @@ def test_id_scheme_gate_inventory():
 def test_predicted_cost_reference_values():
     assert predicted_cost("qft", 3) == (22, 9)
     assert predicted_cost("id", 4) == (20, 18)
-    assert predicted_cost("id-ancilla", 6) == (127, 102)
 
 
 def test_predicted_cost_id_size_is_integral():

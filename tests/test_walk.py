@@ -140,6 +140,17 @@ def test_ancilla_residual_raises(monkeypatch):
     assert err.value.code == "ancilla-residual"
 
 
+def test_linear_circuit_leaving_an_ancilla_set_raises(monkeypatch):
+    def flipped(field):
+        circuit = build_linear(field)
+        return circuit.extended([GateInstance("x", (), (circuit.registers.apos(0),))])
+
+    monkeypatch.setattr(walk_module.linear_mod, "build_linear", flipped)
+    with pytest.raises(ToolkitError) as err:
+        run(WalkConfig(2, 1, identity_field(2), coin_builder="linear"))
+    assert err.value.code == "ancilla-residual"
+
+
 def test_norm_check_raises_under_python_O(tmp_path):
     code = "\n".join([
         "import coinwalk.walk as w",
@@ -224,15 +235,17 @@ def test_walsh_truncation_degrades_then_recovers():
     assert rough.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_linear_backend_keeps_history_and_state_sparse():
-    config = WalkConfig(2, 3, random_field(2, seed=5), coin_builder="linear")
+def test_linear_backend_keeps_history():
+    n = 2
+    config = WalkConfig(n, 3, random_field(n, seed=5), coin_builder="linear")
     result = run(config)
     assert len(result.history) == 4
-    assert result.final_state.norm() == pytest.approx(1.0, abs=1e-9)
+    assert result.final_state.shape == (1 << (n + 1),)
+    assert np.linalg.norm(result.final_state) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_linear_backend_wire_cap():
-    # 2^(n+1) + n wires at n = 7 is past the sparse-route cap.
+    # 2^(n+1) + n wires at n = 7 is past the linear-layout wire cap.
     config = WalkConfig(7, 1, identity_field(7), coin_builder="linear")
     with pytest.raises(ToolkitError) as err:
         run(config)
