@@ -21,17 +21,19 @@ their CNOT-basis realizations and then layers with unit weights.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import ToolkitError, checked
 from . import statevec
 
 __all__ = [
     "BASIS_KINDS",
+    "GATE_KINDS",
     "Circuit",
     "GateInstance",
     "RegisterMap",
@@ -45,7 +47,6 @@ __all__ = [
 #: kinds allowed after compilation
 BASIS_KINDS = frozenset({"rx", "ry", "rz", "p", "cnot"})
 
-_I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SWAP = np.array(
@@ -71,10 +72,18 @@ def _p(lam: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * lam)]])
 
 
-# kinds whose target matrix is fixed / angle-driven / explicit
+#: Every gate kind: (control count, target count, payload).  A control count
+#: of None means one or more.  The payload is "fixed" (the kind names its
+#: target matrix), "angle" or "matrix" (explicit, on the targets).
+GATE_KINDS = {
+    "x": (0, 1, "fixed"), "cnot": (1, 1, "fixed"), "cz": (1, 1, "fixed"),
+    "swap": (0, 2, "fixed"), "cswap": (1, 2, "fixed"),
+    "rx": (0, 1, "angle"), "ry": (0, 1, "angle"), "rz": (0, 1, "angle"),
+    "p": (0, 1, "angle"), "cp": (1, 1, "angle"),
+    "u2": (0, 1, "matrix"), "cu2": (1, 1, "matrix"), "mcu2": (None, 1, "matrix"),
+}
 _FIXED = {"x": _X, "cnot": _X, "cz": _Z, "swap": _SWAP, "cswap": _SWAP}
 _ANGLED = {"rx": _rx, "ry": _ry, "rz": _rz, "p": _p, "cp": _p}
-_EXPLICIT = {"u2", "cu2", "mcu2"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,42 +103,37 @@ class GateInstance:
     label: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(int(w) for w in self.controls))
-        object.__setattr__(self, "targets", tuple(int(w) for w in self.targets))
-        wires = self.controls + self.targets
+        object.__setattr__(self, "controls", tuple(map(int, self.controls)))
+        object.__setattr__(self, "targets", tuple(map(int, self.targets)))
+        controls, targets = self.controls, self.targets
+        wires = controls + targets
         if len(set(wires)) != len(wires):
             raise ToolkitError("duplicate-qubit", f"gate {self.kind} wires {wires}")
-        if self.kind in _ANGLED:
-            if self.angle is None or not np.isfinite(self.angle):
+        if self.kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        n_ctl, n_tgt, payload = GATE_KINDS[self.kind]
+        if payload == "angle":
+            if self.angle is None or not math.isfinite(self.angle):
                 raise ValueError(f"{self.kind} needs a finite angle")
-        elif self.kind in _EXPLICIT:
+        elif payload == "matrix":
             if self.matrix is None:
                 raise ValueError(f"{self.kind} needs an explicit matrix")
             mat = np.asarray(self.matrix, dtype=complex)
-            if mat.shape != (1 << len(self.targets),) * 2:
+            if mat.shape != (1 << len(targets),) * 2:
                 raise ToolkitError(
                     "gate-arity-mismatch",
-                    f"{self.kind} matrix {mat.shape} on {len(self.targets)} targets",
+                    f"{self.kind} matrix {mat.shape} on {len(targets)} targets",
                 )
             if not statevec.is_unitary(mat):
                 raise ToolkitError("not-unitary", f"{self.kind} matrix is not unitary")
             object.__setattr__(self, "matrix", mat)
-        elif self.kind not in _FIXED:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        n_ctl, n_tgt = len(self.controls), len(self.targets)
-        arity_ok = {
-            "x": (0, 1), "rx": (0, 1), "ry": (0, 1), "rz": (0, 1), "p": (0, 1),
-            "u2": (0, 1), "cnot": (1, 1), "cz": (1, 1), "cp": (1, 1),
-            "cu2": (1, 1), "swap": (0, 2), "cswap": (1, 2),
-        }
-        if self.kind in arity_ok and (n_ctl, n_tgt) != arity_ok[self.kind]:
+        if len(targets) != n_tgt or (
+            len(controls) != n_ctl if n_ctl is not None else not controls
+        ):
             raise ToolkitError(
                 "gate-arity-mismatch",
-                f"{self.kind} takes {arity_ok[self.kind]} wires, got {(n_ctl, n_tgt)}",
-            )
-        if self.kind == "mcu2" and (n_ctl < 1 or n_tgt != 1):
-            raise ToolkitError(
-                "gate-arity-mismatch", f"mcu2 needs >=1 controls, got {(n_ctl, n_tgt)}"
+                f"{self.kind} takes {'>=1' if n_ctl is None else n_ctl} controls and "
+                f"{n_tgt} targets, got {(len(controls), len(targets))}",
             )
 
     @property
@@ -147,9 +151,10 @@ class GateInstance:
 
 def dagger(gate: GateInstance) -> GateInstance:
     """Inverse of a single gate instance."""
-    if gate.kind in ("x", "cnot", "cz", "swap", "cswap"):
+    payload = GATE_KINDS[gate.kind][2]
+    if payload == "fixed":
         return gate
-    if gate.kind in _ANGLED:
+    if payload == "angle":
         return GateInstance(gate.kind, gate.controls, gate.targets, -gate.angle,
                             label=gate.label)
     return GateInstance(gate.kind, gate.controls, gate.targets, None,
@@ -308,21 +313,26 @@ def _gate_to_dict(g: GateInstance) -> dict:
     return d
 
 
-def _gate_from_dict(d: dict) -> GateInstance:
-    matrix = None
-    if "matrix" in d:
-        matrix = np.array(
-            [[complex(re, im) for re, im in row] for row in d["matrix"]]
-        )
-    angle = d.get("angle")
+def _gate_from_dict(d) -> GateInstance:
+    d = checked(d, dict, "a gate")
+    angle, matrix, label = d.get("angle"), d.get("matrix"), d.get("label")
+    if matrix is not None:
+        pairs = statevec.float_array(matrix, "a gate matrix")
+        if pairs.ndim != 3 or pairs.shape[2] != 2:
+            raise ValueError("a gate matrix must be rows of [re, im] pairs")
+        matrix = pairs.view(complex)[..., 0]
     return GateInstance(
-        d["kind"],
-        tuple(d.get("controls", ())),
-        tuple(d.get("targets", ())),
-        None if angle is None else float(angle),
+        checked(d.get("kind"), str, "a gate kind"),
+        _wires_from_list(d.get("controls", []), "controls"),
+        _wires_from_list(d.get("targets", []), "targets"),
+        None if angle is None else checked(angle, float, "a gate angle"),
         matrix,
-        d.get("label"),
+        None if label is None else checked(label, str, "a gate label"),
     )
+
+
+def _wires_from_list(wires, what: str) -> tuple[int, ...]:
+    return tuple(checked(w, int, f"a wire in {what}") for w in checked(wires, list, what))
 
 
 def circuit_to_json(circuit: Circuit) -> str:
@@ -349,21 +359,23 @@ def _jsonable_metadata(meta: dict) -> dict:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    payload = json.loads(text)
+    """Read a circuit document; ``ValueError`` if it is malformed."""
+    payload = checked(json.loads(text), dict, "a circuit document")
     if payload.get("format") != "coinwalk-circuit/1":
         raise ValueError("not a coinwalk circuit document")
-    layout = payload["layout"]
-    n = payload["n"]
+    layout = payload.get("layout")
+    n = checked(payload.get("n"), int, "n")
     if layout == "walk":
         registers = RegisterMap.walk(n)
     elif layout == "linear-ancilla":
         registers = RegisterMap.linear(n)
     else:
         raise ValueError(f"unknown circuit layout {layout!r}")
-    gates = tuple(_gate_from_dict(d) for d in payload["gates"])
-    meta = payload.get("metadata", {})
-    if "walsh" in meta and meta["walsh"] is not None:
-        walsh = dict(meta["walsh"])
-        walsh["terms"] = [tuple(t) for t in walsh.get("terms", [])]
-        meta["walsh"] = walsh
+    gates = tuple(_gate_from_dict(d) for d in checked(payload.get("gates"), list, "gates"))
+    meta = checked(payload.get("metadata", {}), dict, "metadata")
+    checked(meta.get("global_phase", 0.0), float, "metadata.global_phase")
+    walsh = meta.get("walsh")
+    if walsh is not None:
+        terms = checked(checked(walsh, dict, "metadata.walsh").get("terms", []), list, "walsh terms")
+        meta["walsh"] = dict(walsh, terms=[tuple(checked(t, list, "a walsh term")) for t in terms])
     return Circuit(registers, gates, meta)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import ToolkitError, checked
 from . import statevec
 
 __all__ = [
@@ -126,6 +126,7 @@ class CoinField:
 
 def total_coin_matrix(field: CoinField) -> np.ndarray:
     """Block-diagonal coin operator on ``n + 1`` qubits (coin = qubit 0)."""
+    statevec.check_dense_matrix(field.n + 1, "total coin matrix")
     dim = 2 << field.n
     out = np.zeros((dim, dim), dtype=complex)
     for k in range(1 << field.n):
@@ -204,33 +205,27 @@ def coin_field_to_json(field: CoinField) -> str:
 
 
 def coin_field_from_json(source: str | dict) -> CoinField:
-    """Load a field from the explicit or parametric JSON forms."""
-    obj = json.loads(source) if isinstance(source, str) else source
-    n = int(obj["n"])
+    """Load a field from the explicit or parametric JSON forms; ``ValueError`` if malformed."""
+    obj = checked(json.loads(source) if isinstance(source, str) else source, dict, "a coin field")
+    n = checked(obj.get("n"), int, "n")
     kind = obj.get("kind")
     if kind is None:
-        raw = obj["coins"]
-        if len(raw) != 1 << n:
-            raise ValueError(f"expected {1 << n} coins, got {len(raw)}")
-        coins = np.array(
-            [[complex(re, im) for re, im in entries] for entries in raw]
-        ).reshape(1 << n, 2, 2)
-        return CoinField(n, coins, {"kind": "explicit"})
+        pairs = statevec.float_array(obj.get("coins"), "coins")
+        if pairs.shape != (1 << n, 4, 2):
+            raise ValueError(f"expected {1 << n} coins of four [re, im] pairs, got {pairs.shape}")
+        return CoinField(n, pairs.view(complex).reshape(1 << n, 2, 2), {"kind": "explicit"})
     if kind == "k-params":
         if "angles" in obj:
-            angles = np.asarray(obj["angles"], dtype=float)
+            angles = statevec.float_array(obj["angles"], "angles")
             if angles.shape != (1 << n, 4):
                 raise ValueError(f"expected {(1 << n, 4)} angles, got {angles.shape}")
             coins = np.array([coin_from_k_params(*row) for row in angles])
             return CoinField(n, coins, {"kind": "k-params", "angles": angles.tolist()})
-        return random_field(n, int(obj["seed"]))
+        return random_field(n, checked(obj.get("seed"), int, "seed"))
     if kind == "dirac":
         return dirac_field(
             n,
-            float(obj["mass"]),
-            float(obj["step"]),
-            float(obj["charge"]),
-            float(obj["v0"]),
+            *(checked(obj.get(key), float, key) for key in ("mass", "step", "charge", "v0")),
             obj.get("coordinate_map", "normalized"),
         )
     raise ValueError(f"unknown coin field kind {kind!r}")

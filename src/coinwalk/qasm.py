@@ -17,11 +17,15 @@ from __future__ import annotations
 import re
 
 from .errors import ToolkitError
-from .circuit import Circuit, GateInstance, RegisterMap
+from .circuit import GATE_KINDS, Circuit, GateInstance, RegisterMap
 
 __all__ = ["from_qasm", "to_qasm"]
 
-_EMITTABLE = {"x", "rx", "ry", "rz", "p", "cnot", "cz", "cp"}
+#: qelib1 spelling of every kind that has one
+_QASM_NAME = {
+    "x": "x", "rx": "rx", "ry": "ry", "rz": "rz", "p": "u1", "cnot": "cx", "cz": "cz", "cp": "cu1",
+}
+_KIND_OF = {name: kind for kind, name in _QASM_NAME.items()}
 
 
 def _fmt(angle: float) -> str:
@@ -42,47 +46,23 @@ def to_qasm(circuit: Circuit) -> str:
         for i, w in enumerate(wires):
             wire_name[w] = f"{name}[{i}]"
     for g in circuit.gates:
-        if g.kind not in _EMITTABLE:
+        if g.kind not in _QASM_NAME:
             raise ToolkitError(
                 "not-in-basis", f"gate kind {g.kind!r} has no qasm spelling; compile first"
             )
         wires = ",".join(wire_name[w] for w in g.wires)
-        if g.kind == "x":
-            lines.append(f"x {wires};")
-        elif g.kind == "cnot":
-            lines.append(f"cx {wires};")
-        elif g.kind == "cz":
-            lines.append(f"cz {wires};")
-        elif g.kind == "p":
-            lines.append(f"u1({_fmt(g.angle)}) {wires};")
-        elif g.kind == "cp":
-            lines.append(f"cu1({_fmt(g.angle)}) {wires};")
-        else:
-            lines.append(f"{g.kind}({_fmt(g.angle)}) {wires};")
+        angle = f"({_fmt(g.angle)})" if GATE_KINDS[g.kind][2] == "angle" else ""
+        lines.append(f"{_QASM_NAME[g.kind]}{angle} {wires};")
     return "\n".join(lines) + "\n"
 
 
 _GATE_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s+(.+);$")
 _REF_RE = re.compile(r"^(\w+)\[(\d+)\]$")
 
-_KIND_FOR = {
-    "x": "x",
-    "cx": "cnot",
-    "cz": "cz",
-    "u1": "p",
-    "cu1": "cp",
-    "rx": "rx",
-    "ry": "ry",
-    "rz": "rz",
-}
-
-_CONTROLLED = {"cx", "cz", "cu1"}
-
 
 def from_qasm(text: str) -> Circuit:
     """Parse the emitter's output back into a circuit."""
     reg_sizes: dict[str, int] = {}
-    reg_order: list[str] = []
     gates: list[tuple] = []
     phase = 0.0
     layout, n = None, None
@@ -91,13 +71,15 @@ def from_qasm(text: str) -> Circuit:
         if not line:
             continue
         if line.startswith("//"):
-            body = line[2:].strip()
-            if body.startswith("global-phase"):
-                phase = float(body.split()[1])
-            elif body.startswith("layout"):
-                parts = body.split()
-                layout = parts[1]
-                n = int(parts[2].split("=")[1])
+            directive = line[2:].split()
+            if directive[:1] == ["global-phase"]:
+                if len(directive) != 2:
+                    raise ValueError(f"bad global-phase comment: {raw!r}")
+                phase = float(directive[1])
+            elif directive[:1] == ["layout"]:
+                if len(directive) != 3 or not directive[2].startswith("n="):
+                    raise ValueError(f"bad layout comment: {raw!r}")
+                layout, n = directive[1], int(directive[2][2:])
             continue
         if line.startswith("OPENQASM") or line.startswith("include"):
             continue
@@ -106,13 +88,12 @@ def from_qasm(text: str) -> Circuit:
             if not m:
                 raise ValueError(f"bad qreg line: {raw!r}")
             reg_sizes[m.group(1)] = int(m.group(2))
-            reg_order.append(m.group(1))
             continue
         m = _GATE_RE.match(line)
         if not m:
             raise ValueError(f"unparseable line: {raw!r}")
         name, arg, refs = m.groups()
-        if name not in _KIND_FOR:
+        if name not in _KIND_OF:
             raise ToolkitError("not-in-basis", f"unsupported qasm gate {name!r}")
         gates.append((name, float(arg) if arg else None, refs.split(",")))
 
@@ -141,13 +122,10 @@ def from_qasm(text: str) -> Circuit:
     instances = []
     for name, angle, refs in gates:
         wires = [wire_of(r) for r in refs]
-        arity = 2 if name in _CONTROLLED else 1
-        if len(wires) != arity:
-            raise ValueError(f"{name} takes {arity} operands, got {len(wires)}")
-        kind = _KIND_FOR[name]
-        if name in _CONTROLLED:
-            instances.append(GateInstance(kind, (wires[0],), (wires[1],), angle))
-        else:
-            instances.append(GateInstance(kind, (), (wires[0],), angle))
+        kind = _KIND_OF[name]
+        n_ctl, n_tgt, _ = GATE_KINDS[kind]
+        if len(wires) != n_ctl + n_tgt:
+            raise ValueError(f"{name} takes {n_ctl + n_tgt} operands, got {len(wires)}")
+        instances.append(GateInstance(kind, wires[:n_ctl], wires[n_ctl:], angle))
     meta = {"global_phase": phase} if phase else {}
     return Circuit(regs, tuple(instances), meta)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ToolkitError
 from .circuit import Circuit, GateInstance, RegisterMap, dagger
 from . import statevec
 
@@ -30,10 +29,7 @@ _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 def shift_permutation_matrix(n: int) -> np.ndarray:
     """Ground-truth permutation on the walk layout (basis index 2k + coin)."""
-    if n + 1 > statevec.dense_limit():
-        raise ToolkitError(
-            "dense-limit-exceeded", f"shift matrix for n={n} exceeds the dense cap"
-        )
+    statevec.check_dense_matrix(n + 1, "shift matrix")
     size = 1 << (n + 1)
     big_n = 1 << n
     mat = np.zeros((size, size), dtype=complex)

@@ -8,7 +8,8 @@ the gate's own :math:`2^m \\times 2^m` matrix.  Control wires condition on
 
 Dense objects are plain ``numpy`` complex arrays; the cap on dense work is
 ``2**dense_limit()`` amplitudes per axis and can be raised or lowered with
-the ``QWALK_DENSE_LIMIT`` environment variable.
+the ``QWALK_DENSE_LIMIT`` environment variable.  A square matrix must also
+fit in :data:`MATRIX_BYTES_MAX`, whatever that variable says.
 """
 
 from __future__ import annotations
@@ -24,15 +25,17 @@ __all__ = [
     "ATOL_ENTRY",
     "ATOL_NORM",
     "ATOL_UNITARY",
+    "MATRIX_BYTES_MAX",
     "PRUNE_TOL",
     "SparseState",
     "apply_gate",
     "apply_circuit",
+    "check_dense_matrix",
     "circuit_unitary",
     "dense_limit",
+    "float_array",
     "full_unitary",
     "is_unitary",
-    "kron",
     "spectral_norm_diff",
 ]
 
@@ -42,6 +45,9 @@ ATOL_ENTRY = 1e-12
 PRUNE_TOL = 1e-14
 
 _DEFAULT_DENSE_LIMIT = 14
+
+#: Largest dense square matrix, in bytes: a complex 2^13 x 2^13 matrix.
+MATRIX_BYTES_MAX = 1 << 30
 
 
 def dense_limit() -> int:
@@ -58,17 +64,23 @@ def dense_limit() -> int:
         ) from None
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the dense size cap enforced."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > (1 << dense_limit()):
+def check_dense_matrix(num_qubits: int, what: str) -> None:
+    """Refuse, before allocating, a ``2^q``-square complex matrix over either cap."""
+    size = 16 << (2 * num_qubits)
+    if num_qubits > dense_limit() or size > MATRIX_BYTES_MAX:
         raise ToolkitError(
             "dense-limit-exceeded",
-            f"kron result dimension {out_dim} exceeds 2**{dense_limit()}",
+            f"{what} on {num_qubits} qubits ({size / 2**30:g} GiB) is over the dense cap "
+            f"{dense_limit()} or the {MATRIX_BYTES_MAX / 2**30:g} GiB matrix budget",
         )
-    return np.kron(a, b)
+
+
+def float_array(data, what: str) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array; ``ValueError`` otherwise."""
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be nested lists of numbers") from None
 
 
 def is_unitary(m: np.ndarray, atol: float = ATOL_UNITARY) -> bool:
@@ -236,11 +248,7 @@ def apply_circuit(state, circuit):
 def circuit_unitary(circuit) -> np.ndarray:
     """Exact unitary of the gate list (tracked global phase excluded)."""
     q = circuit.num_wires
-    if q > dense_limit():
-        raise ToolkitError(
-            "dense-limit-exceeded",
-            f"circuit on {q} wires exceeds the dense cap {dense_limit()}",
-        )
+    check_dense_matrix(q, "circuit unitary")
     return _apply_circuit_to_columns(np.eye(1 << q, dtype=complex), circuit)
 
 

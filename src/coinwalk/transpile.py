@@ -1,8 +1,10 @@
 """Lowering to the {Rx, Ry, Rz, P, CNOT} basis.
 
-All rewrites here are exact gate identities; the only non-gate artifact is
-a scalar phase, which is accumulated in circuit metadata under
-``"global_phase"`` and never dropped.
+This module only lowers gates, one at a time; it never re-synthesizes a
+circuit (the Walsh builder picks its Gray or product form itself).  All
+rewrites are exact gate identities; the only non-gate artifact is a scalar
+phase, which is accumulated in circuit metadata under ``"global_phase"`` and
+never dropped.
 
 Multi-controlled gates use the ancilla-free split: ``C^k(U)`` peels one
 control at a time through ``V = sqrt(U)`` conjugations, and the inner
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import ToolkitError
 from .circuit import BASIS_KINDS, Circuit, GateInstance
 from . import statevec
+from .walsh import gray_code_optimize  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
     "compile_circuit",
@@ -25,7 +28,6 @@ __all__ = [
     "cz_gates",
     "decompose_mcu",
     "decompose_su2",
-    "gray_code_optimize",
     "sqrt_u2",
     "swap_gates",
     "toffoli_gates",
@@ -265,63 +267,3 @@ def compile_circuit(circuit: Circuit) -> Circuit:
     meta["compiled"] = True
     meta.pop("walsh", None)
     return Circuit(circuit.registers, tuple(out), meta)
-
-
-# -- Gray-code pass over Walsh products ---------------------------------------
-
-
-def _gray_rank(j: int) -> int:
-    """Position of j in the reflected Gray sequence (inverse Gray code)."""
-    r = 0
-    while j:
-        r ^= j
-        j >>= 1
-    return r
-
-
-def _entangling_count(gates) -> int:
-    return sum(1 for g in gates if g.kind in ("cnot", "cz"))
-
-
-def _same_gates(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if x.kind != y.kind or x.controls != y.controls or x.targets != y.targets:
-            return False
-        if (x.angle is None) != (y.angle is None):
-            return False
-        if x.angle is not None and abs(x.angle - y.angle) > 1e-12:
-            return False
-    return True
-
-
-def gray_code_optimize(circuit: Circuit) -> Circuit:
-    """Merge the ladders of a Walsh product along a Gray-code term order.
-
-    The input must be the fragment-per-term form produced by the Walsh
-    builder (validated structurally; ``"not-walsh-form"`` otherwise).  The
-    commuting term factors are re-emitted in Gray-code order so consecutive
-    parity ladders share all but one step; the result is returned only when
-    it strictly lowers the entangling-gate count, otherwise the input
-    circuit is passed through unchanged.
-    """
-    from . import walsh as _walsh
-
-    info = circuit.metadata.get("walsh")
-    if not isinstance(info, dict) or info.get("optimized"):
-        raise ToolkitError("not-walsh-form", "expected an unoptimized Walsh product")
-    sigma = info["sigma"]
-    terms = [(int(j), float(a)) for j, a in info["terms"]]
-    expected = _walsh.walsh_product_gates(circuit.registers, sigma, terms)
-    if not _same_gates(expected, circuit.gates):
-        raise ToolkitError("not-walsh-form", "gate list is not the builder's product form")
-    if sum(1 for j, a in terms if j != 0) <= 1:
-        return circuit
-    ordered = sorted(terms, key=lambda t: _gray_rank(t[0]))
-    candidate = _walsh.gray_walsh_gates(circuit.registers, sigma, ordered)
-    if _entangling_count(candidate) >= _entangling_count(circuit.gates):
-        return circuit
-    meta = dict(circuit.metadata)
-    meta["walsh"] = dict(info, optimized=True, terms=ordered)
-    return Circuit(circuit.registers, tuple(candidate), meta)

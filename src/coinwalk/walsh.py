@@ -15,14 +15,15 @@ support.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import groupby
 
 import numpy as np
 
 from .errors import ToolkitError
 from .circuit import Circuit, GateInstance, RegisterMap
 from .coins import CoinField, dyadic_coordinate
-from . import transpile
 
 __all__ = [
     "WalshSeries",
@@ -31,6 +32,7 @@ __all__ = [
     "build_walsh_coin",
     "derivative_sup_estimate",
     "function_from_spec",
+    "gray_code_optimize",
     "gray_walsh_gates",
     "series_from_json",
     "series_to_json",
@@ -219,73 +221,121 @@ def series_from_json(data: dict) -> WalshSeries:
 
 
 # -- circuit emission ----------------------------------------------------------
+#
+# Gates are first written as "specs", GateInstance argument tuples (kind,
+# controls, targets, angle), so that only the chosen form is instantiated.
 
 _ROT_FOR = {"x": "rx", "y": "ry", "z": "rz"}
 
 
-def _coin_core(regs: RegisterMap, wire: int, sigma: str, angle: float) -> list[GateInstance]:
-    """e^{i a Z_wire (x) sigma_coin} as entangler / rotation / entangler."""
-    coin = regs.coin()
-    rot = GateInstance(_ROT_FOR[sigma], (), (coin,), angle)
-    if sigma == "x":
-        ent = GateInstance("cz", (wire,), (coin,))
-    else:
-        ent = GateInstance("cnot", (wire,), (coin,))
-    return [ent, rot, ent]
+def _support(j: int) -> list[int]:
+    """Bit positions set in j, ascending."""
+    return [p for p in range(j.bit_length()) if (j >> p) & 1]
 
 
-def _term_gates(regs: RegisterMap, sigma: str, j: int, a: float) -> list[GateInstance]:
+def _term_specs(regs: RegisterMap, sigma: str, j: int, a: float) -> list[tuple]:
     """One commuting factor e^{i a w_j (x) sigma}; empty for the sigma=I phase term."""
     if j == 0:
         if sigma == "i":
             return []  # scalar phase, tracked in circuit metadata
-        return [GateInstance(_ROT_FOR[sigma], (), (regs.coin(),), -2.0 * a)]
-    bits = [p for p in range(j.bit_length()) if (j >> p) & 1]
+        return [(_ROT_FOR[sigma], (), (regs.coin(),), -2.0 * a)]
+    bits = _support(j)
     head = regs.position(bits[0])
-    ladder = [GateInstance("cnot", (regs.position(p),), (head,)) for p in bits[1:]]
+    ladder = [("cnot", (regs.position(p),), (head,), None) for p in bits[1:]]
     if sigma == "i":
-        middle = [GateInstance("rz", (), (head,), -2.0 * a)]
+        middle = [("rz", (), (head,), -2.0 * a)]
     else:
-        middle = _coin_core(regs, head, sigma, -2.0 * a)
+        coin = regs.coin()
+        ent = ("cz" if sigma == "x" else "cnot", (head,), (coin,), None)
+        middle = [ent, (_ROT_FOR[sigma], (), (coin,), -2.0 * a), ent]
     return ladder + middle + ladder[::-1]
+
+
+def _product_specs(regs: RegisterMap, sigma: str, terms) -> list[tuple]:
+    return [spec for j, a in terms for spec in _term_specs(regs, sigma, j, a)]
+
+
+def _cancel_common_target_runs(specs: list[tuple]) -> list[tuple]:
+    """Reduce runs of consecutive CNOTs sharing a target by control parity."""
+    while True:
+        out: list[tuple] = []
+        runs = groupby(specs, key=lambda spec: spec[2] if spec[0] == "cnot" else None)
+        for target, run in runs:
+            if target is None:
+                out.extend(run)
+                continue
+            parity = Counter(spec[1] for spec in run)
+            out.extend(("cnot", c, target, None) for c in sorted(parity) if parity[c] % 2)
+        if len(out) == len(specs):
+            return out
+        specs = out
+
+
+def _gray_specs(regs: RegisterMap, sigma: str, ordered_terms) -> list[tuple]:
+    if sigma == "i":
+        return _cancel_common_target_runs(_product_specs(regs, sigma, ordered_terms))
+    coin = regs.coin()
+    rot_kind = _ROT_FOR[sigma]
+    ent_kind = "cz" if sigma == "x" else "cnot"
+    specs: list[tuple] = []
+    current = 0
+    for j, a in ordered_terms + [(0, None)]:
+        specs.extend((ent_kind, (regs.position(p),), (coin,), None) for p in _support(current ^ j))
+        if a is not None:
+            specs.append((rot_kind, (), (coin,), -2.0 * a))
+        current = j
+    return specs
+
+
+def _gray_rank(j: int) -> int:
+    """Position of j in the reflected Gray sequence (inverse Gray code)."""
+    r = 0
+    while j:
+        r ^= j
+        j >>= 1
+    return r
+
+
+def _product_entanglers(sigma: str, terms) -> int:
+    """2|S_j| entanglers per term j != 0, or 2(|S_j| - 1) for sigma = I."""
+    drop = 1 if sigma == "i" else 0
+    return sum(2 * (j.bit_count() - drop) for j, _ in terms if j)
+
+
+def _gray_entanglers(ordered_terms) -> int:
+    """Gray-form entanglers for sigma != I: |S_t ^ S_t+1| per step, from and to {}."""
+    supports = [0] + [j for j, _ in ordered_terms] + [0]
+    return sum((s ^ t).bit_count() for s, t in zip(supports, supports[1:]))
+
+
+def _choose_form(regs: RegisterMap, sigma: str, terms, optimize: bool = True):
+    """(specs, term order, optimized) of the form to emit.
+
+    With ``optimize`` the Gray form is taken when it has strictly fewer
+    entangling gates (for sigma = I, counted on its cancelled ladders);
+    otherwise, and on a tie, the product form.
+    """
+    if optimize:
+        ordered = sorted(terms, key=lambda t: _gray_rank(t[0]))
+        if sigma == "i":
+            gray = _gray_specs(regs, sigma, ordered)
+            gray_count = sum(1 for spec in gray if spec[0] == "cnot")
+        else:
+            gray, gray_count = None, _gray_entanglers(ordered)
+        if gray_count < _product_entanglers(sigma, terms):
+            return gray if gray is not None else _gray_specs(regs, sigma, ordered), ordered, True
+    return _product_specs(regs, sigma, terms), terms, False
+
+
+def _gates(specs) -> list[GateInstance]:
+    return [GateInstance(*spec) for spec in specs]
 
 
 def walsh_product_gates(
     regs: RegisterMap, sigma: str, terms: list[tuple[int, float]]
 ) -> list[GateInstance]:
     """Fragment-per-term gate list, in the given term order (builder canonical form)."""
-    sigma = _sigma_key(sigma)
-    gates: list[GateInstance] = []
-    for j, a in terms:
-        gates.extend(_term_gates(regs, sigma, j, a))
-    return gates
-
-
-def _cancel_common_target_runs(gates: list[GateInstance]) -> list[GateInstance]:
-    """Reduce runs of consecutive CNOTs sharing a target by control parity."""
-    changed = True
-    while changed:
-        changed = False
-        out: list[GateInstance] = []
-        i = 0
-        while i < len(gates):
-            g = gates[i]
-            if g.kind != "cnot":
-                out.append(g)
-                i += 1
-                continue
-            target = g.targets[0]
-            run_end = i
-            while run_end < len(gates) and gates[run_end].kind == "cnot" and gates[run_end].targets[0] == target:
-                run_end += 1
-            controls = [gates[t].controls[0] for t in range(i, run_end)]
-            survivors = sorted(c for c in set(controls) if controls.count(c) % 2)
-            if len(survivors) < len(controls):
-                changed = True
-            out.extend(GateInstance("cnot", (c,), (target,)) for c in survivors)
-            i = run_end
-        gates = out
-    return gates
+    return _gates(_product_specs(regs, _sigma_key(sigma), terms))
 
 
 def gray_walsh_gates(
@@ -299,56 +349,62 @@ def gray_walsh_gates(
     per-term ladders are emitted and then reduced by the common-target
     cancellation pass.
     """
-    sigma = _sigma_key(sigma)
-    if sigma == "i":
-        gates: list[GateInstance] = []
-        for j, a in ordered_terms:
-            gates.extend(_term_gates(regs, sigma, j, a))
-        return _cancel_common_target_runs(gates)
-    coin = regs.coin()
-    rot_kind = _ROT_FOR[sigma]
-    ent_kind = "cz" if sigma == "x" else "cnot"
+    return _gates(_gray_specs(regs, _sigma_key(sigma), list(ordered_terms)))
 
-    def entangler(p: int) -> GateInstance:
-        return GateInstance(ent_kind, (regs.position(p),), (coin,))
 
-    gates = []
-    current: frozenset[int] = frozenset()
-    for j, a in ordered_terms:
-        wanted = frozenset(p for p in range(j.bit_length()) if (j >> p) & 1)
-        for p in sorted(current ^ wanted):
-            gates.append(entangler(p))
-        gates.append(GateInstance(rot_kind, (), (coin,), -2.0 * a))
-        current = wanted
-    for p in sorted(current):
-        gates.append(entangler(p))
-    return gates
+def _phase_of(sigma: str, terms) -> float:
+    """The j = 0 coefficient of a sigma = I series, which is a scalar phase."""
+    return terms[0][1] if sigma == "i" and terms and terms[0][0] == 0 else 0.0
 
 
 def build_walsh(series: WalshSeries, sigma: str, optimize: bool = True) -> Circuit:
     """Circuit for e^{i f(x) (x) sigma} on the walk layout (coin wire 0).
 
     The j = 0 term is a bare coin rotation for sigma in {X, Y, Z} and a
-    tracked global phase for sigma = I.  With ``optimize`` the Gray-code
-    pass is applied and kept when it strictly lowers the entangling count.
+    tracked global phase for sigma = I.  Without ``optimize`` the gates are
+    the product form, one fragment per term in ascending j.  With it the
+    Gray-code form is emitted instead when its entangling count, known from
+    the term supports before any gate is built, is strictly lower;
+    ``metadata["walsh"]["optimized"]`` says which form was emitted.
     """
     sigma = _sigma_key(sigma)
     regs = RegisterMap.walk(series.n)
     terms = series.terms()
-    phase = 0.0
-    if sigma == "i" and terms and terms[0][0] == 0:
-        phase = terms[0][1]
-    gates = walsh_product_gates(regs, sigma, terms)
+    phase = _phase_of(sigma, terms)
+    specs, terms, optimized = _choose_form(regs, sigma, terms, optimize)
     meta = {
         "builder": "walsh",
         "n": series.n,
         "global_phase": phase,
-        "walsh": {"sigma": sigma, "terms": terms, "optimized": False},
+        "walsh": {"sigma": sigma, "terms": terms, "optimized": optimized},
     }
-    circuit = Circuit(regs, tuple(gates), meta)
-    if optimize and sum(1 for j, _ in terms if j != 0) > 1:
-        circuit = transpile.gray_code_optimize(circuit)
-    return circuit
+    return Circuit(regs, tuple(_gates(specs)), meta)
+
+
+def gray_code_optimize(circuit: Circuit) -> Circuit:
+    """The Gray form of a product-form Walsh circuit, when it has fewer entanglers.
+
+    The input must be the fragment-per-term form that ``build_walsh(...,
+    optimize=False)`` produces, with its ``"walsh"`` metadata
+    (``"not-walsh-form"`` otherwise).  The form is chosen as in
+    :func:`build_walsh`; without a strict gain the input circuit itself is
+    returned.
+    """
+    info = circuit.metadata.get("walsh")
+    if not isinstance(info, dict) or info.get("optimized"):
+        raise ToolkitError("not-walsh-form", "expected an unoptimized Walsh product")
+    sigma = _sigma_key(info["sigma"])
+    terms = [(int(j), float(a)) for j, a in info["terms"]]
+    regs = circuit.registers
+    given = [(g.kind, g.controls, g.targets, g.angle) for g in circuit.gates]
+    if given != _product_specs(regs, sigma, terms):
+        raise ToolkitError("not-walsh-form", "gate list is not the builder's product form")
+    specs, ordered, optimized = _choose_form(regs, sigma, terms)
+    if not optimized:
+        return circuit
+    meta = dict(circuit.metadata)
+    meta["walsh"] = dict(info, optimized=True, terms=ordered)
+    return Circuit(regs, tuple(_gates(specs)), meta)
 
 
 def build_walsh_coin(field: CoinField, m: int | None = None, optimize: bool = True) -> Circuit:
@@ -356,8 +412,9 @@ def build_walsh_coin(field: CoinField, m: int | None = None, optimize: bool = Tr
 
     The first angle function becomes a tracked global phase series (sigma =
     I on positions), the other three become Z/Y/Z coin-conjugation series,
-    composed in circuit time from the last factor to the first.  Angle
-    samples are unwrapped along x before expansion so branch cuts in the
+    composed in circuit time from the last factor to the first; each series
+    is emitted in the form :func:`build_walsh` would choose.  Angle samples
+    are unwrapped along x before expansion so branch cuts in the
     factorization do not masquerade as roughness.
     """
     angles = field.euler_angles()
@@ -365,21 +422,17 @@ def build_walsh_coin(field: CoinField, m: int | None = None, optimize: bool = Tr
     series = [walsh_coefficients(col) for col in unwrapped]
     if m is not None:
         series = [truncate(s, m) for s in series]
-    order = [(3, "z"), (2, "y"), (1, "z"), (0, "i")]
     regs = RegisterMap.walk(field.n)
-    gates: list[GateInstance] = []
-    phase = 0.0
-    for idx, sigma in order:
-        part = build_walsh(series[idx], sigma, optimize=optimize)
-        gates.extend(part.gates)
-        phase += float(part.metadata.get("global_phase", 0.0))
+    specs: list[tuple] = []
+    for idx, sigma in [(3, "z"), (2, "y"), (1, "z"), (0, "i")]:
+        specs += _choose_form(regs, sigma, series[idx].terms(), optimize)[0]
     meta = {
         "builder": "walsh-coin",
         "n": field.n,
         "truncation": m,
-        "global_phase": phase,
+        "global_phase": _phase_of("i", series[0].terms()),
     }
-    return Circuit(regs, tuple(gates), meta)
+    return Circuit(regs, tuple(_gates(specs)), meta)
 
 
 def build_linear_phase(a: float, sigma: str, n: int) -> Circuit:

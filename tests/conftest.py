@@ -21,3 +21,19 @@ BENCH_ANGLES = [
 def bench_field_n3() -> CoinField:
     coins = np.array([coin_from_k_params(*row) for row in BENCH_ANGLES])
     return CoinField(3, coins, {"kind": "bench"})
+
+
+@pytest.fixture()
+def no_large_matrices(monkeypatch):
+    """Make np.zeros and np.eye fail the test, before allocating, above 1 GiB."""
+
+    def guarded(allocate, square):
+        def checked_allocate(shape, *args, **kwargs):
+            count = shape * shape if square else int(np.prod(shape))
+            assert count * 16 <= 1 << 30, f"{allocate.__name__}({shape}) asked for over 1 GiB"
+            return allocate(shape, *args, **kwargs)
+
+        return checked_allocate
+
+    monkeypatch.setattr(np, "zeros", guarded(np.zeros, square=False))
+    monkeypatch.setattr(np, "eye", guarded(np.eye, square=True))

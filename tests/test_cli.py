@@ -172,8 +172,9 @@ def test_broken_coin_spec_maps_to_toolkit_error(tmp_path, capsys):
     [
         lambda doc: doc.update(layout="ring"),
         lambda doc: doc["gates"].append({"kind": "rz", "targets": [0], "angle": "abc"}),
+        lambda doc: doc["gates"].append({"kind": "x", "targets": 0}),
     ],
-    ids=["unknown-layout", "string-angle"],
+    ids=["unknown-layout", "string-angle", "integer-targets"],
 )
 def test_bad_circuit_json_is_a_usage_error(tmp_path, capsys, edit):
     doc = {"format": "coinwalk-circuit/1", "n": 2, "layout": "walk", "metadata": {}, "gates": []}
@@ -181,6 +182,15 @@ def test_bad_circuit_json_is_a_usage_error(tmp_path, capsys, edit):
     rc = main(["analyze", "--circuit", write_json(tmp_path / "bad.json", doc)])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_shift_verify_over_the_matrix_budget_exits_1(capsys, monkeypatch, no_large_matrices):
+    # n=13 is 14 wires, inside the default qubit cap, but each 2^14-square
+    # matrix would take 4 GiB.
+    monkeypatch.delenv("QWALK_DENSE_LIMIT", raising=False)
+    rc = main(["shift", "--scheme", "qft", "--n", "13", "--verify"])
+    assert rc == 1
+    assert "error [dense-limit-exceeded]" in capsys.readouterr().err
 
 
 def test_unknown_choice_exits_via_argparse():

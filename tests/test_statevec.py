@@ -14,9 +14,12 @@ from coinwalk import (
     circuit_unitary,
     dense_limit,
     full_unitary,
+    identity_field,
+    shift_permutation_matrix,
     spectral_norm_diff,
+    total_coin_matrix,
 )
-from coinwalk.statevec import is_unitary, kron
+from coinwalk.statevec import MATRIX_BYTES_MAX, is_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -165,7 +168,21 @@ def test_spectral_norm_of_equal_matrices_is_zero():
     assert spectral_norm_diff(u, u) <= 1e-12
 
 
-def test_kron_and_is_unitary_helpers():
-    assert np.allclose(kron(X, np.eye(2)), np.kron(X, np.eye(2)))
+def test_square_matrices_over_the_byte_budget_are_refused(no_large_matrices, monkeypatch):
+    # 14 qubits pass the default qubit cap; the 2^14-square matrix is 4 GiB.
+    monkeypatch.delenv("QWALK_DENSE_LIMIT", raising=False)
+    assert dense_limit() == 14 and MATRIX_BYTES_MAX == 16 << 26
+    builds = [
+        lambda: circuit_unitary(Circuit(RegisterMap.walk(13), [], {})),
+        lambda: shift_permutation_matrix(13),
+        lambda: total_coin_matrix(identity_field(13)),
+    ]
+    for build in builds:
+        with pytest.raises(ToolkitError) as err:
+            build()
+        assert err.value.code == "dense-limit-exceeded"
+
+
+def test_is_unitary_helper():
     assert is_unitary(random_unitary(4, 1))
     assert not is_unitary(np.ones((2, 2), dtype=complex))

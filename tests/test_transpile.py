@@ -13,13 +13,13 @@ from coinwalk.transpile import (
     cz_gates,
     decompose_mcu,
     decompose_su2,
-    gray_code_optimize,
     sqrt_u2,
     swap_gates,
     toffoli_gates,
     x_gates,
     zyz_angles,
 )
+from coinwalk.walsh import gray_code_optimize
 
 
 def unitary_of(gates, num_wires):

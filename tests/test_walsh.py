@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coinwalk import walsh
 from coinwalk import (
+    GateInstance,
     RegisterMap,
     ToolkitError,
     WalshSeries,
@@ -293,6 +295,62 @@ def test_gray_order_follows_given_terms():
     gates = gray_walsh_gates(regs, "z", [(1, 0.1), (3, 0.2), (2, 0.3)])
     kinds = [g.kind for g in gates]
     assert kinds == ["cnot", "rz", "cnot", "rz", "cnot", "rz", "cnot"]
+
+
+def sparse_series(n, seed):
+    """Random series with about half its coefficients zeroed."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=1 << n)
+    coeffs[rng.random(1 << n) < 0.5] = 0.0
+    return WalshSeries(n, coeffs)
+
+
+def gate_tuples(circuit):
+    return [(g.kind, g.controls, g.targets, g.angle) for g in circuit.gates]
+
+
+@pytest.mark.parametrize("sigma", ["i", "x", "y", "z"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_builder_form_equals_gray_pass_of_product_form(sigma, n):
+    rng = np.random.default_rng(n)
+    for series in (WalshSeries(n, rng.uniform(0.2, 1.0, size=1 << n)), sparse_series(n, n)):
+        for m in range(n + 1):
+            cut = truncate(series, m)
+            built = build_walsh(cut, sigma)
+            passed = gray_code_optimize(build_walsh(cut, sigma, optimize=False))
+            assert gate_tuples(built) == gate_tuples(passed)
+            assert built.metadata == passed.metadata
+
+
+@pytest.mark.parametrize("sigma", ["i", "x", "y", "z"])
+def test_chooser_closed_forms_count_the_emitted_entanglers(sigma):
+    def entanglers(gates):
+        return sum(1 for g in gates if g.kind in ("cnot", "cz"))
+
+    for n in range(1, 7):
+        for seed in range(3):
+            regs = RegisterMap.walk(n)
+            terms = sparse_series(n, 10 * n + seed).terms()
+            ordered = sorted(terms, key=lambda t: walsh._gray_rank(t[0]))
+            product = walsh_product_gates(regs, sigma, terms)
+            assert walsh._product_entanglers(sigma, terms) == entanglers(product)
+            if sigma != "i":
+                gray = gray_walsh_gates(regs, sigma, ordered)
+                assert walsh._gray_entanglers(ordered) == entanglers(gray)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_walsh_coin_constructs_each_gate_once(n, monkeypatch):
+    built = []
+    post_init = GateInstance.__post_init__
+
+    def counting(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(GateInstance, "__post_init__", counting)
+    circuit = build_walsh_coin(random_field(n, seed=n))
+    assert len(built) == len(circuit.gates)
 
 
 def test_coin_circuit_matches_field_matrix():
