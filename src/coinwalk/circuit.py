@@ -163,12 +163,12 @@ def dagger(gate: GateInstance) -> GateInstance:
 
 @dataclass(frozen=True)
 class RegisterMap:
-    """Named registers mapped onto contiguous wire indices."""
+    """Named registers mapped onto contiguous wire ranges."""
 
     n: int
     layout: str
     num_wires: int
-    registers: tuple[tuple[str, tuple[int, ...]], ...]
+    registers: tuple[tuple[str, range], ...]
 
     @classmethod
     def walk(cls, n: int) -> "RegisterMap":
@@ -179,8 +179,8 @@ class RegisterMap:
             "walk",
             n + 1,
             (
-                ("coin", (0,)),
-                ("position", tuple(range(1, n + 1))),
+                ("coin", range(1)),
+                ("position", range(1, n + 1)),
             ),
         )
 
@@ -189,23 +189,19 @@ class RegisterMap:
         if n < 1:
             raise ValueError("need n >= 1 position qubits")
         npos = 1 << n
-        apos = tuple(range(npos))
-        acoin = tuple(range(npos, 2 * npos - 1))
-        coin = 2 * npos - 1
-        pos = tuple(range(2 * npos, 2 * npos + n))
         return cls(
             n,
             "linear-ancilla",
             2 * npos + n,
             (
-                ("apos", apos),
-                ("acoin", acoin),
-                ("coin", (coin,)),
-                ("position", pos),
+                ("apos", range(npos)),
+                ("acoin", range(npos, 2 * npos - 1)),
+                ("coin", range(2 * npos - 1, 2 * npos)),
+                ("position", range(2 * npos, 2 * npos + n)),
             ),
         )
 
-    def _reg(self, name: str) -> tuple[int, ...]:
+    def _reg(self, name: str) -> range:
         for reg_name, wires in self.registers:
             if reg_name == name:
                 return wires
@@ -364,7 +360,7 @@ def circuit_from_json(text: str) -> Circuit:
     if payload.get("format") != "coinwalk-circuit/1":
         raise ValueError("not a coinwalk circuit document")
     layout = payload.get("layout")
-    n = checked(payload.get("n"), int, "n")
+    n = statevec.check_document_n(checked(payload.get("n"), int, "n"))
     if layout == "walk":
         registers = RegisterMap.walk(n)
     elif layout == "linear-ancilla":

@@ -207,7 +207,7 @@ def coin_field_to_json(field: CoinField) -> str:
 def coin_field_from_json(source: str | dict) -> CoinField:
     """Load a field from the explicit or parametric JSON forms; ``ValueError`` if malformed."""
     obj = checked(json.loads(source) if isinstance(source, str) else source, dict, "a coin field")
-    n = checked(obj.get("n"), int, "n")
+    n = statevec.check_document_n(checked(obj.get("n"), int, "n"))
     kind = obj.get("kind")
     if kind is None:
         pairs = statevec.float_array(obj.get("coins"), "coins")

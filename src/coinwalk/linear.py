@@ -192,22 +192,33 @@ def coin_blocks(circuit: Circuit) -> tuple[np.ndarray, float]:
     """The ``(2^n, 2, 2)`` coin array a linear circuit applies, and its residual.
 
     Every data input ``|k, c>`` (all other wires at |0>) runs through the
-    sparse kernel, so the array is exact: ``coins[k][c', c]`` is the
-    amplitude left on ``|k, c'>``.  ``residual`` is the largest amplitude
+    sparse kernel, all ``2^(n+1)`` of them as one state in one pass: ``n + 1``
+    tag wires above the circuit's own carry each input's index ``2k + c``.
+    No gate touches the tags, so rows from different inputs never mix, and
+    the array is exact: ``coins[k][c', c]`` is the amplitude left on
+    ``|k, c'>`` under tag ``2k + c``.  ``residual`` is the largest amplitude
     left anywhere else; by linearity, zero on every basis input means the
     ancillas come back to |0> on every input state.  No global phase is
     applied: :func:`build_linear` tracks none.
     """
     regs = circuit.registers
-    coins = np.zeros((1 << regs.n, 2, 2), dtype=complex)
+    q = regs.num_wires
+    inputs = 2 << regs.n
+    landing = {regs.embed(j >> 1, j & 1): j for j in range(inputs)}
+    start = statevec.SparseState(
+        q + regs.n + 1, {index | (j << q): 1.0 for index, j in landing.items()}
+    )
+    out = statevec.apply_circuit(start, circuit)
+    coins = np.zeros((inputs >> 1, 2, 2), dtype=complex)
     residual = 0.0
-    for k in range(1 << regs.n):
-        for c in (0, 1):
-            start = statevec.SparseState.from_basis(regs.num_wires, regs.embed(k, c))
-            out = dict(statevec.apply_circuit(start, circuit).items())
-            for c_out in (0, 1):
-                coins[k, c_out, c] = out.pop(regs.embed(k, c_out), 0.0)
-            residual = max([residual, *map(abs, out.values())])
+    data = (1 << q) - 1
+    for index, amp in out.amplitudes.items():
+        k, c = divmod(index >> q, 2)  # the input this row came from
+        lands = landing.get(index & data)  # 2k' + c' if the data wires hold |k', c'>
+        if lands is not None and lands >> 1 == k:
+            coins[k, lands & 1, c] = amp
+        else:
+            residual = max(residual, abs(amp))
     return coins, residual
 
 

@@ -18,6 +18,7 @@ import re
 
 from .errors import ToolkitError
 from .circuit import GATE_KINDS, Circuit, GateInstance, RegisterMap
+from .statevec import check_document_n
 
 __all__ = ["from_qasm", "to_qasm"]
 
@@ -79,7 +80,7 @@ def from_qasm(text: str) -> Circuit:
             elif directive[:1] == ["layout"]:
                 if len(directive) != 3 or not directive[2].startswith("n="):
                     raise ValueError(f"bad layout comment: {raw!r}")
-                layout, n = directive[1], int(directive[2][2:])
+                layout, n = directive[1], check_document_n(int(directive[2][2:]))
             continue
         if line.startswith("OPENQASM") or line.startswith("include"):
             continue

@@ -10,12 +10,16 @@ Dense objects are plain ``numpy`` complex arrays; the cap on dense work is
 ``2**dense_limit()`` amplitudes per axis and can be raised or lowered with
 the ``QWALK_DENSE_LIMIT`` environment variable.  A square matrix must also
 fit in :data:`MATRIX_BYTES_MAX`, whatever that variable says.
+
+A :class:`SparseState` keeps only its nonzero amplitudes, as arrays: one bit
+row per amplitude and a complex vector beside them, so it runs a batch of
+basis inputs at once and reaches any number of wires.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -25,12 +29,14 @@ __all__ = [
     "ATOL_ENTRY",
     "ATOL_NORM",
     "ATOL_UNITARY",
+    "DOCUMENT_N_MAX",
     "MATRIX_BYTES_MAX",
     "PRUNE_TOL",
     "SparseState",
     "apply_gate",
     "apply_circuit",
     "check_dense_matrix",
+    "check_document_n",
     "circuit_unitary",
     "dense_limit",
     "float_array",
@@ -48,6 +54,10 @@ _DEFAULT_DENSE_LIMIT = 14
 
 #: Largest dense square matrix, in bytes: a complex 2^13 x 2^13 matrix.
 MATRIX_BYTES_MAX = 1 << 30
+
+#: Largest ``n`` a circuit or coin-field document may name: the 2^n complex
+#: 2x2 blocks of a coin field must fit in :data:`MATRIX_BYTES_MAX` (n = 24).
+DOCUMENT_N_MAX = (MATRIX_BYTES_MAX // 64).bit_length() - 1
 
 
 def dense_limit() -> int:
@@ -73,6 +83,13 @@ def check_dense_matrix(num_qubits: int, what: str) -> None:
             f"{what} on {num_qubits} qubits ({size / 2**30:g} GiB) is over the dense cap "
             f"{dense_limit()} or the {MATRIX_BYTES_MAX / 2**30:g} GiB matrix budget",
         )
+
+
+def check_document_n(n: int) -> int:
+    """``n`` if a document may name it, at most :data:`DOCUMENT_N_MAX`; ``ValueError`` otherwise."""
+    if n > DOCUMENT_N_MAX:
+        raise ValueError(f"n={n} is over {DOCUMENT_N_MAX}, the largest a document may name")
+    return n
 
 
 def float_array(data, what: str) -> np.ndarray:
@@ -154,71 +171,173 @@ def _num_qubits_of(dim: int) -> int:
     return q
 
 
-class SparseState:
-    """Map-based state over ``num_qubits`` wires.
+class _AmplitudeView(Mapping):
+    """Read-only ``{basis index: amplitude}`` view of a :class:`SparseState`.
 
-    Amplitudes below :data:`PRUNE_TOL` in magnitude are dropped after every
-    gate, so memory tracks the support rather than the full Hilbert space.
+    ``len`` is the row count.  The first lookup or iteration turns every bit
+    row into its integer index, once, and keeps the resulting dict.
     """
 
-    __slots__ = ("num_qubits", "amplitudes")
+    __slots__ = ("_bits", "_amps", "_dict")
+
+    def __init__(self, bits: np.ndarray, amps: np.ndarray):
+        self._bits = bits
+        self._amps = amps
+        self._dict: dict[int, complex] | None = None
+
+    def _lookup(self) -> dict[int, complex]:
+        if self._dict is None:
+            self._dict = dict(zip(_indices(self._bits), self._amps.tolist()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return self._amps.size
+
+    def __getitem__(self, index: int) -> complex:
+        return self._lookup()[index]
+
+    def __iter__(self):
+        return iter(self._lookup())
+
+    def items(self):
+        return self._lookup().items()
+
+
+def _indices(bits: np.ndarray) -> list[int]:
+    """Integer basis index of every bit row (column ``w`` is wire ``w``)."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(len(packed))]
+
+
+def _bit_rows(indices: list[int], num_qubits: int) -> np.ndarray:
+    """Bool matrix whose row ``r`` holds the bits of ``indices[r]``."""
+    width = (num_qubits + 7) // 8
+    raw = b"".join(i.to_bytes(width, "little") for i in indices)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(indices), width)
+    return np.unpackbits(packed, axis=1, count=num_qubits, bitorder="little").view(bool)
+
+
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """One opaque, comparable key per bit row, equal exactly when the rows are."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def _monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(dest, factor)`` if every row and column of ``mat`` has one nonzero entry.
+
+    Column ``j`` then goes to row ``dest[j]``, scaled by ``factor[j]``.
+    """
+    rows, cols = np.nonzero(mat)
+    if rows.tolist() != list(range(len(mat))) or len(set(cols.tolist())) != len(mat):
+        return None
+    dest = np.empty_like(rows)
+    dest[cols] = rows
+    return dest, mat[dest, np.arange(len(mat))]
+
+
+class SparseState:
+    """State over ``num_qubits`` wires, stored as its nonzero amplitudes.
+
+    Row ``r`` of a bool matrix of shape ``(rows, num_qubits)`` holds the bits
+    of one basis index, column ``w`` being wire ``w``; entry ``r`` of a
+    complex vector is its amplitude.  Rows are distinct.  Each gate acts on
+    every row at once.  A monomial gate (one nonzero entry in each row and
+    each column of its matrix: x, cnot, swap, cswap, cz, p, any unitary
+    diagonal) rewrites each selected row in place.  Any other gate branches
+    the selected rows over its output columns and sums rows that land on the
+    same index.  Amplitudes at or below :data:`PRUNE_TOL` in magnitude are
+    dropped after every gate, so memory tracks the support rather than the
+    full Hilbert space, and indices may exceed 64 bits.  A state never
+    changes: :meth:`apply_gate` returns the state after the gate.
+    """
+
+    __slots__ = ("num_qubits", "_bits", "_amps", "_view")
 
     def __init__(self, num_qubits: int, amplitudes: Mapping[int, complex] | None = None):
         self.num_qubits = int(num_qubits)
-        self.amplitudes: dict[int, complex] = {}
-        if amplitudes:
-            top = 1 << self.num_qubits
-            for idx, amp in amplitudes.items():
-                if not 0 <= idx < top:
-                    raise ToolkitError(
-                        "index-out-of-range",
-                        f"basis index {idx} outside {self.num_qubits} qubits",
-                    )
-                if abs(amp) > PRUNE_TOL:
-                    self.amplitudes[int(idx)] = complex(amp)
+        top = 1 << self.num_qubits
+        indices, amps = [], []
+        for idx, amp in (amplitudes or {}).items():
+            if not 0 <= idx < top:
+                raise ToolkitError(
+                    "index-out-of-range",
+                    f"basis index {idx} outside {self.num_qubits} qubits",
+                )
+            if abs(amp) > PRUNE_TOL:
+                indices.append(int(idx))
+                amps.append(complex(amp))
+        self._set_rows(_bit_rows(indices, self.num_qubits), np.array(amps, dtype=complex))
+
+    def _set_rows(self, bits: np.ndarray, amps: np.ndarray) -> None:
+        self._bits = bits
+        self._amps = amps
+        self._view = _AmplitudeView(bits, amps)
+
+    def _with_rows(self, bits: np.ndarray, amps: np.ndarray) -> "SparseState":
+        keep = np.abs(amps) > PRUNE_TOL
+        if not keep.all():
+            bits, amps = bits[keep], amps[keep]
+        state = SparseState.__new__(SparseState)
+        state.num_qubits = self.num_qubits
+        state._set_rows(bits, amps)
+        return state
+
+    @property
+    def amplitudes(self) -> Mapping[int, complex]:
+        """Read-only ``{basis index: amplitude}`` view; ``len`` is O(1)."""
+        return self._view
 
     @classmethod
     def from_basis(cls, num_qubits: int, index: int) -> "SparseState":
         return cls(num_qubits, {index: 1.0})
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values())))
+        return float(np.linalg.norm(self._amps))
 
     def support(self) -> int:
-        return len(self.amplitudes)
+        return self._amps.size
 
     def apply_gate(self, gate: np.ndarray, targets, controls=()) -> "SparseState":
         mat = np.asarray(gate, dtype=complex)
         targets = tuple(targets)
         controls = tuple(controls)
         _validate_wires(self.num_qubits, targets, controls, mat.shape[0])
-        m = len(targets)
-        tmask = 0
+        bits, amps = self._bits, self._amps
+        on = np.ones(amps.size, dtype=bool)  # rows with every control set
+        for c in controls:
+            on &= bits[:, c]
+        if not on.any():
+            return self
+        col = np.zeros(amps.size, dtype=np.intp)  # gate-local index; targets[0] on top
         for t in targets:
-            tmask |= 1 << t
-        out: dict[int, complex] = {}
-        for idx, amp in self.amplitudes.items():
-            if any(not (idx >> c) & 1 for c in controls):
-                out[idx] = out.get(idx, 0.0) + amp
-                continue
-            col = 0
-            for i in range(m):
-                col |= ((idx >> targets[i]) & 1) << (m - 1 - i)
-            base = idx & ~tmask
-            for row in range(1 << m):
-                coeff = mat[row, col]
-                if coeff == 0:
-                    continue
-                off = 0
-                for i in range(m):
-                    if (row >> (m - 1 - i)) & 1:
-                        off |= 1 << targets[i]
-                key = base | off
-                out[key] = out.get(key, 0.0) + coeff * amp
-        pruned = {k: v for k, v in out.items() if abs(v) > PRUNE_TOL}
-        result = SparseState(self.num_qubits)
-        result.amplitudes = pruned
-        return result
+            col = (col << 1) | bits[:, t]
+        move = _monomial(mat)
+        if move is not None:
+            dest, factor = move
+            new_col = np.where(on, dest[col], col)
+            new_bits = bits.copy()
+            for i, t in enumerate(reversed(targets)):
+                new_bits[:, t] = (new_col >> i) & 1
+            return self._with_rows(new_bits, np.where(on, amps * factor[col], amps))
+        # Branch: rows that differ only on the targets share a base row and
+        # mix; vals[u, j] is the amplitude of base u with its targets at j.
+        sel = np.flatnonzero(on)
+        base = bits[sel]
+        base[:, targets] = False
+        _, first, inverse = np.unique(_row_keys(base), return_index=True, return_inverse=True)
+        vals = np.zeros((first.size, mat.shape[0]), dtype=complex)
+        vals[inverse, col[sel]] = amps[sel]
+        out = vals @ mat.T
+        u, row = np.nonzero(np.abs(out) > PRUNE_TOL)
+        grown = base[first[u]]
+        for i, t in enumerate(reversed(targets)):
+            grown[:, t] = (row >> i) & 1
+        return self._with_rows(
+            np.concatenate([bits[~on], grown]), np.concatenate([amps[~on], out[u, row]])
+        )
 
     def amplitude(self, index: int) -> complex:
         return self.amplitudes.get(index, 0.0)
@@ -230,8 +349,7 @@ class SparseState:
                 f"{self.num_qubits} qubits exceed the dense cap {dense_limit()}",
             )
         vec = np.zeros(1 << self.num_qubits, dtype=complex)
-        for idx, amp in self.amplitudes.items():
-            vec[idx] = amp
+        vec[_indices(self._bits)] = self._amps
         return vec
 
     def items(self):

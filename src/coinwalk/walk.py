@@ -3,10 +3,10 @@
 The coin circuit may come from any builder, and every builder is collapsed
 once into its ``(2^n, 2, 2)`` coin array.  Walk-layout builders (naive,
 Walsh) are collapsed in one dense pass and certified block-diagonal with a
-random probe; the linear-ancilla builder is collapsed exactly, over its
-2^(n+1) basis inputs, with every ancilla checked back at |0>.  Each step of
-the dense walk-layout vector is then a batched 2x2 coin followed by the
-shift circuit.
+random probe; the linear-ancilla builder (n <= 8) is collapsed exactly, its
+2^(n+1) basis inputs run as one batch through the sparse kernel, with every
+ancilla checked back at |0>.  Each step of the dense walk-layout vector is
+then a batched 2x2 coin followed by the shift circuit.
 """
 
 from __future__ import annotations
@@ -44,8 +44,10 @@ __all__ = [
 COIN_BUILDERS = ("naive", "linear", "walsh", "dense-oracle")
 SHIFT_SCHEMES = ("qft", "id")
 
-# linear layout needs 2^(n+1)+n wires; past this the bookkeeping is pointless
-_MAX_LINEAR_WIRES = 160
+# The linear layout needs 2^(n+1) + n wires; 520 admits n <= 8.  Its exact
+# collapse took about 0.4 s at n = 8 and 4 s at n = 9 on one core of the
+# machine BENCH_sparse_batch.json describes.
+_MAX_LINEAR_WIRES = 520
 
 _NORM_SLACK = 1e-9
 _ANCILLA_SLACK = 1e-8

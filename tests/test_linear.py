@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coinwalk import (
+    Circuit,
     GateInstance,
     SparseState,
     apply_circuit,
@@ -144,13 +145,70 @@ def test_build_linear_sparse_route_restores_ancillas():
                 assert abs(got - c[2 * k + c_out, 2 * k + coin]) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_coin_blocks_equal_the_field(n):
+    # Exact: before Q0 every gate permutes rows, and each Q0 gate scales a
+    # lone amplitude 1 by the coin entries.
     field = random_field(n, seed=30 + n)
     coins, residual = coin_blocks(build_linear(field))
     assert coins.shape == (1 << n, 2, 2)
-    assert np.max(np.abs(coins - field.coins)) <= 1e-12
-    assert residual <= 1e-12
+    assert np.array_equal(coins, field.coins)
+    assert residual == 0.0
+
+
+def test_coin_blocks_equal_one_sparse_run_per_input():
+    # The batched pass against the loop it replaced: one SparseState per
+    # data input, read the same way.
+    circ = build_linear(random_field(3, seed=8))
+    regs = circ.registers
+    coins, residual = coin_blocks(circ)
+    for k in range(8):
+        for c in (0, 1):
+            out = dict(apply_circuit(SparseState.from_basis(regs.num_wires, regs.embed(k, c)), circ).items())
+            for c_out in (0, 1):
+                assert coins[k, c_out, c] == out.pop(regs.embed(k, c_out), 0.0)
+            assert residual >= max(map(abs, out.values()), default=0.0)
+
+
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+SQRT_X = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
+
+
+def on_ancilla(circ, *matrices):
+    return [GateInstance("u2", (), (circ.registers.apos(1),), matrix=m) for m in matrices]
+
+
+def test_coin_blocks_see_an_ancilla_left_in_superposition():
+    circ = build_linear(identity_field(2))
+    _, residual = coin_blocks(circ.extended(on_ancilla(circ, H)))
+    assert residual == 1 / np.sqrt(2)
+
+
+def test_coin_blocks_merge_branches_that_meet_again():
+    # H then H branches every row and sums the two halves back: the ancilla
+    # returns to |0> and the |1> half cancels exactly.  Each coin entry
+    # picks up 2 h^2 = 1 - 2^-52, so it is equal up to rounding.
+    field = random_field(2, seed=4)
+    circ = build_linear(field)
+    coins, residual = coin_blocks(circ.extended(on_ancilla(circ, H, H)))
+    assert residual == 0.0
+    assert np.max(np.abs(coins - field.coins)) <= 1e-15
+    # sqrt(X) then its inverse, before Q1 where every amplitude is 1: all
+    # products and sums are exact in binary, and so are the coins.
+    ahead = Circuit(circ.registers, on_ancilla(circ, SQRT_X, SQRT_X.conj().T) + list(circ.gates))
+    coins, residual = coin_blocks(ahead)
+    assert residual == 0.0
+    assert np.array_equal(coins, field.coins)
+
+
+def test_coin_blocks_count_a_moved_walker_as_residual():
+    # Every input lands on |k xor 1, c>: a data basis state, but another
+    # input's, so nothing reaches the coin array.
+    circ = build_linear(identity_field(2))
+    moved = circ.extended([GateInstance("x", (), (circ.registers.position(0),))])
+    coins, residual = coin_blocks(moved)
+    assert residual == 1.0
+    assert not coins.any()
 
 
 def test_coin_blocks_report_an_ancilla_left_set():

@@ -21,6 +21,8 @@ from coinwalk import (
     random_field,
     to_qasm,
 )
+from coinwalk.cli import main
+from coinwalk.statevec import DOCUMENT_N_MAX
 
 def circuit_doc():
     circ = Circuit(
@@ -111,6 +113,47 @@ def test_malformed_coin_field_is_a_value_error(doc):
         coin_field_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "layout,n",
+    [("linear-ancilla", 70), ("linear-ancilla", DOCUMENT_N_MAX + 1), ("walk", 10**6)],
+)
+def test_circuit_document_over_the_n_bound_is_a_value_error(layout, n):
+    doc = dict(circuit_doc(), layout=layout, n=n)
+    with pytest.raises(ValueError, match="largest a document may name"):
+        circuit_from_json(json.dumps(doc))
+
+
+def test_circuit_document_at_the_n_bound_lists_no_wires():
+    # 2^25 + 24 wires: the registers are ranges, so reading costs nothing.
+    doc = dict(circuit_doc(), layout="linear-ancilla", n=DOCUMENT_N_MAX)
+    assert DOCUMENT_N_MAX == 24
+    assert circuit_from_json(json.dumps(doc)).num_wires == (2 << DOCUMENT_N_MAX) + DOCUMENT_N_MAX
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param({"n": 40, "kind": "dirac", "mass": 1.0, "step": 0.5, "charge": 1.0, "v0": 2.0},
+                     id="dirac-n40"),
+        pytest.param({"n": 70, "kind": "k-params", "seed": 3}, id="k-params-n70"),
+        pytest.param({"n": DOCUMENT_N_MAX + 1, "coins": []}, id="explicit-over-bound"),
+    ],
+)
+def test_coin_field_over_the_n_bound_is_a_value_error(doc, no_large_matrices):
+    with pytest.raises(ValueError, match="largest a document may name"):
+        coin_field_from_json(json.dumps(doc))
+
+
+def test_build_on_a_coin_field_over_the_n_bound_exits_2(tmp_path, capsys, no_large_matrices):
+    spec = tmp_path / "dirac.json"
+    spec.write_text(json.dumps(
+        {"n": 40, "kind": "dirac", "mass": 1.0, "step": 0.5, "charge": 1.0, "v0": 2.0}
+    ))
+    rc = main(["build", "--construction", "walsh", "--coin", str(spec), "--out", str(tmp_path / "c.json")])
+    assert rc == 2
+    assert "largest a document may name" in capsys.readouterr().err
+
+
 def test_readers_still_read_their_writers():
     back = circuit_from_json(json.dumps(circuit_doc()))
     assert [g.kind for g in back.gates] == ["cnot", "rz", "u2"]
@@ -119,9 +162,9 @@ def test_readers_still_read_their_writers():
         assert coin_field_from_json(json.dumps(doc)).n == 1
 
 
-# Integers stay small: a document's n sizes its registers (2^(n+1) wires in
-# the linear-ancilla layout), so a large n is a resource question, not a
-# parsing one.
+# Integers stay small: under DOCUMENT_N_MAX a document's n still sizes what
+# it builds (a coin field of 2^n coins), so a large n is a resource
+# question, not a parsing one.
 scalars = (
     st.none()
     | st.booleans()
@@ -190,3 +233,11 @@ def test_edited_qasm_gives_only_input_errors(index, prefix, tail):
     lines = list(QASM_LINES)
     lines[index] = prefix + tail
     only_input_errors(from_qasm, "\n".join(lines))
+
+
+@pytest.mark.parametrize("n", [70, DOCUMENT_N_MAX + 1])
+def test_qasm_layout_over_the_n_bound_is_a_value_error(n):
+    lines = [f"// layout linear-ancilla n={n}" if line.startswith("// layout") else line
+             for line in QASM_LINES]
+    with pytest.raises(ValueError, match="largest a document may name"):
+        from_qasm("\n".join(lines))

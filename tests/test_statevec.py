@@ -91,31 +91,106 @@ def test_sparse_matches_dense_on_basis_gates():
     assert sparse.norm() == pytest.approx(1.0)
 
 
-@settings(max_examples=60, deadline=None)
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+
+
+def random_monomial(dim, seed):
+    """A permutation matrix with a random phase in each column."""
+    rng = np.random.default_rng(seed)
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[rng.permutation(dim), np.arange(dim)] = np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+    return mat
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_sparse_and_dense_agree_on_random_programs(data):
+    # Random unitaries take the branching path; permutations with phases and
+    # x/swap with any number of controls (x, cnot, toffoli, swap, cswap, ...)
+    # take the monomial path.
     num_qubits = data.draw(st.integers(2, 4))
     dense = basis(num_qubits, data.draw(st.integers(0, (1 << num_qubits) - 1)))
     sparse = SparseState(num_qubits, {i: a for i, a in enumerate(dense) if a})
-    for step in range(data.draw(st.integers(1, 8))):
+    for step in range(data.draw(st.integers(1, 10))):
         wires = data.draw(
             st.permutations(range(num_qubits)).map(tuple)
         )
-        arity = data.draw(st.integers(1, 2))
+        kind = data.draw(st.sampled_from(["unitary", "monomial", "x", "swap"]))
+        arity = {"x": 1, "swap": 2}.get(kind) or data.draw(st.integers(1, min(3, num_qubits)))
         n_controls = data.draw(st.integers(0, num_qubits - arity))
-        gate = random_unitary(1 << arity, data.draw(st.integers(0, 2**16)))
+        seed = data.draw(st.integers(0, 2**16))
+        gate = {
+            "unitary": lambda: random_unitary(1 << arity, seed),
+            "monomial": lambda: random_monomial(1 << arity, seed),
+            "x": lambda: X,
+            "swap": lambda: SWAP,
+        }[kind]()
         targets = wires[:arity]
         controls = wires[arity:arity + n_controls]
         dense = apply_gate(dense, gate, targets, controls)
         sparse = sparse.apply_gate(gate, targets, controls)
+        assert len(sparse.amplitudes) == sparse.support()
     assert np.max(np.abs(sparse.to_dense() - dense)) < 1e-10
+    assert dict(sparse.amplitudes) == {
+        int(i): a for i, a in enumerate(sparse.to_dense()) if a != 0
+    }
+
+
+def test_sparse_state_over_64_wires_round_trips_its_indices():
+    want = {(1 << 69) | 5: 0.6, 1 << 65: 0.8j, 3: 0.0}
+    s = SparseState(70, want)
+    assert len(s.amplitudes) == s.support() == 2
+    assert dict(s.amplitudes) == {(1 << 69) | 5: 0.6, 1 << 65: 0.8j}
+    # monomial: x on wire 67, cnot 69 -> 0, swap 65 <-> 66
+    s = s.apply_gate(X, (67,)).apply_gate(X, (0,), (69,)).apply_gate(SWAP, (65, 66))
+    assert dict(s.amplitudes) == {(1 << 69) | (1 << 67) | 4: 0.6, (1 << 67) | (1 << 66): 0.8j}
+    # branching: H on wire 68 twice merges back onto the same two indices
+    s = s.apply_gate(H, (68,))
+    assert s.support() == 4 and len(s.amplitudes) == 4
+    s = s.apply_gate(H, (68,))
+    assert set(s.amplitudes) == {(1 << 69) | (1 << 67) | 4, (1 << 67) | (1 << 66)}
+    assert s.amplitude((1 << 69) | (1 << 67) | 4) == pytest.approx(0.6, abs=1e-15)
+    assert s.amplitude((1 << 67) | (1 << 66)) == pytest.approx(0.8j, abs=1e-15)
+    assert s.amplitude(1 << 68) == 0
+    assert s.norm() == pytest.approx(1.0)
+
+
+def test_sparse_amplitudes_are_a_read_only_view():
+    s = SparseState.from_basis(2, 3)
+    with pytest.raises(TypeError):
+        s.amplitudes[0] = 1.0
+    with pytest.raises(AttributeError):
+        s.amplitudes = {0: 1.0}
+    assert s.apply_gate(X, (0,)).amplitudes == {2: 1.0}
+    assert s.amplitudes == {3: 1.0}
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        np.array([[1, 0], [1, 0]], dtype=complex),  # one entry per row, one column
+        np.array([[0, 0], [0, 2j]], dtype=complex),  # diagonal with a zero
+        np.array([[0, 1], [0, 0]], dtype=complex),
+    ],
+)
+def test_sparse_matches_dense_on_non_unitary_matrices(gate):
+    amps = {0b00: 1.0, 0b01: 0.5, 0b10: 0.25j, 0b11: -0.75}
+    dense = np.array(list(amps.values()), dtype=complex)
+    sparse = SparseState(2, amps)
+    for targets, controls in [((0,), ()), ((1,), (0,))]:
+        dense = apply_gate(dense, gate, targets, controls)
+        sparse = sparse.apply_gate(gate, targets, controls)
+        assert np.array_equal(sparse.to_dense(), dense)
 
 
 def test_sparse_prunes_vanished_amplitudes():
     s = SparseState.from_basis(1, 0).apply_gate(H, (0,)).apply_gate(H, (0,))
-    assert s.support() == 1
+    assert s.support() == 1 == len(s.amplitudes)
     assert s.amplitude(0) == pytest.approx(1.0)
     assert s.amplitude(1) == 0
+    # a monomial gate that scales an amplitude under the tolerance drops it
+    tiny = np.diag([1e-15, 1]).astype(complex)
+    assert SparseState.from_basis(1, 0).apply_gate(tiny, (0,)).support() == 0
 
 
 def test_apply_circuit_and_unitary_agree():

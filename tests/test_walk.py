@@ -245,11 +245,23 @@ def test_linear_backend_keeps_history():
 
 
 def test_linear_backend_wire_cap():
-    # 2^(n+1) + n wires at n = 7 is past the linear-layout wire cap.
-    config = WalkConfig(7, 1, identity_field(7), coin_builder="linear")
+    # 2^(n+1) + n wires at n = 9 is past the linear-layout wire cap.
+    config = WalkConfig(9, 1, identity_field(9), coin_builder="linear")
     with pytest.raises(ToolkitError) as err:
         run(config)
     assert err.value.code == "backend-infeasible"
+
+
+@pytest.mark.parametrize("scheme", ["qft", "id"])
+def test_linear_backend_matches_oracle_past_the_old_cap(scheme):
+    # n = 7 is 263 wires, past the cap of 160 the linear walk had before
+    # its collapse ran as one batch.
+    n = 7
+    config = WalkConfig(
+        n, 6, random_field(n, seed=71), coin_builder="linear", shift_scheme=scheme,
+        initial={"position": 40, "coin": [1, 1j]},
+    )
+    assert tvd(run(config).distribution, oracle(config).distribution) <= 1e-12
 
 
 # -- initial state -----------------------------------------------------------
