@@ -2,9 +2,10 @@
 
 Subcommands mirror the library surface: build writes circuit JSON (and
 optionally compiled QASM), analyze reports depth/counts next to the
-closed-form predictions, verify replays a builder's oracle equivalence,
-walk runs an evolution to JSON/CSV, scaling tabulates circuit cost against
-n, and shift builds/checks either shift scheme.
+closed-form predictions, verify compares a builder's collapsed coins with
+the field, walk runs an evolution to JSON/CSV, scaling tabulates circuit
+cost against n, and shift builds/probes either shift scheme.  No
+subcommand builds a square matrix.
 
 Exit codes: 0 success, 1 verification failure, 2 usage problems.
 """
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import circuit as cir
-from . import coins, linear, naive, qasm, shift, statevec, transpile, walk, walsh
+from . import coins, linear, qasm, shift, statevec, transpile, walk
 from .errors import ToolkitError
 
 __all__ = ["main"]
@@ -34,17 +35,9 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _build_coin_circuit(construction: str, field: coins.CoinField, truncation):
-    if construction == "naive":
-        return naive.build_naive(field)
-    if construction == "linear":
-        return linear.build_linear(field)
-    return walsh.build_walsh_coin(field, m=truncation)
-
-
 def _cmd_build(args) -> int:
     field = coins.coin_field_from_json(_load_json(args.coin))
-    circ = _build_coin_circuit(args.construction, field, args.truncation)
+    circ = walk.build_coin(args.construction, field, args.truncation)
     _write(args.out, cir.circuit_to_json(circ))
     print(f"wrote {args.out}: {len(circ.gates)} gates on {circ.num_wires} wires")
     if args.qasm:
@@ -94,34 +87,14 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _verify_naive(n: int, seed: int) -> float:
-    field = coins.random_field(n, seed=seed)
-    u = statevec.circuit_unitary(naive.build_naive(field))
-    return float(np.max(np.abs(u - coins.total_coin_matrix(field))))
-
-
-def _verify_linear(n: int, seed: int) -> float:
-    field = coins.random_field(n, seed=seed)
-    blocks, residual = linear.coin_blocks(linear.build_linear(field))
-    return max(float(np.max(np.abs(blocks - field.coins))), residual)
-
-
-def _verify_walsh(n: int, seed: int) -> float:
-    field = coins.random_field(n, seed=seed)
-    u = statevec.full_unitary(walsh.build_walsh_coin(field))
-    return float(np.max(np.abs(u - coins.total_coin_matrix(field))))
-
-
-_VERIFIERS = {
-    "naive": (_verify_naive, 1e-10),
-    "linear": (_verify_linear, 1e-10),
-    "walsh": (_verify_walsh, 1e-9),
-}
+_TOLERANCES = {"naive": 1e-10, "linear": 1e-10, "walsh": 1e-9}
 
 
 def _cmd_verify(args) -> int:
-    checker, tol = _VERIFIERS[args.construction]
-    deviation = checker(args.n, args.seed)
+    tol = _TOLERANCES[args.construction]
+    field = coins.random_field(statevec.check_document_n(args.n), seed=args.seed)
+    got, residual = walk.collapse(walk.build_coin(args.construction, field))
+    deviation = max(float(np.max(np.abs(got - field.coins))), residual)
     print(f"{args.construction} n={args.n} seed={args.seed}: "
           f"max deviation {deviation:.3e} (tolerance {tol:.1e})")
     return 0 if deviation <= tol else 1
@@ -131,7 +104,7 @@ def _cmd_walk(args) -> int:
     config = walk.config_from_json(_load_json(args.config))
     result = walk.run(config)
     tvd_vs_oracle = None
-    if config.coin_builder != "dense-oracle" and config.n + 1 <= statevec.dense_limit():
+    if config.coin_builder != "dense-oracle":
         oracle = walk.matrix_oracle_run(config.field, config.steps, walk.initial_state(config))
         tvd_vs_oracle = walk.tvd(result.distribution, oracle.distribution)
     if args.out.endswith(".csv"):
@@ -155,8 +128,8 @@ def _parse_range(text: str) -> range:
 def _cmd_scaling(args) -> int:
     rows = ["n,gates,depth,gates_compiled,depth_compiled,predicted"]
     for n in _parse_range(args.n_range):
-        field = coins.random_field(n, seed=args.seed)
-        circ = _build_coin_circuit(args.construction, field, None)
+        field = coins.random_field(statevec.check_document_n(n), seed=args.seed)
+        circ = walk.build_coin(args.construction, field)
         compiled = transpile.compile_circuit(circ)
         predicted = linear.predicted_depth(n) if args.construction == "linear" else ""
         rows.append(
@@ -169,8 +142,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_shift(args) -> int:
-    builder = shift.build_shift_qft if args.scheme == "qft" else shift.build_shift_id
-    circ = builder(args.n)
+    circ = shift.build_shift(args.scheme, args.n)
     size, depth_ = shift.predicted_cost(args.scheme, args.n)
     compiled = transpile.compile_circuit(circ)
     print(json.dumps({
@@ -183,9 +155,7 @@ def _cmd_shift(args) -> int:
         "predicted_cost": {"size": size, "depth": depth_},
     }, indent=1))
     if args.verify:
-        want = shift.shift_permutation_matrix(args.n)
-        got = statevec.circuit_unitary(circ)
-        deviation = float(np.max(np.abs(got - want)))
+        deviation = walk.shift_deviation(circ)
         print(f"max deviation vs permutation oracle: {deviation:.3e}")
         return 0 if deviation <= 1e-9 else 1
     return 0
@@ -212,7 +182,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("verify", help="builder-vs-oracle equivalence check")
-    p.add_argument("--construction", required=True, choices=sorted(_VERIFIERS))
+    p.add_argument("--construction", required=True, choices=sorted(_TOLERANCES))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)

@@ -15,6 +15,7 @@ from .circuit import Circuit, GateInstance, RegisterMap, dagger
 from . import statevec
 
 __all__ = [
+    "build_shift",
     "build_shift_id",
     "build_shift_qft",
     "omega_phase_gates",
@@ -132,6 +133,11 @@ def build_shift_id(n: int) -> Circuit:
         + _ripple(regs, n, coin, decrement=False)
     )
     return Circuit(regs, tuple(gates), {"builder": "shift-id", "n": n})
+
+
+def build_shift(scheme: str, n: int) -> Circuit:
+    """The ``qft`` or ``id`` shift circuit for 2^n nodes."""
+    return build_shift_qft(n) if scheme == "qft" else build_shift_id(n)
 
 
 def predicted_cost(scheme: str, n: int) -> tuple[int, int]:

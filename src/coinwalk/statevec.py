@@ -363,26 +363,20 @@ def apply_circuit(state, circuit):
     return state
 
 
-def circuit_unitary(circuit) -> np.ndarray:
-    """Exact unitary of the gate list (tracked global phase excluded)."""
-    q = circuit.num_wires
-    check_dense_matrix(q, "circuit unitary")
-    return _apply_circuit_to_columns(np.eye(1 << q, dtype=complex), circuit)
-
-
-def _apply_circuit_to_columns(block: np.ndarray, circuit) -> np.ndarray:
-    """Apply every gate of a circuit, in place, to each column of a 2-D block.
-
-    Axis 0 of ``block`` is the basis index over ``circuit.num_wires`` wires;
-    the tracked global phase is not applied.  Wires are not checked here:
-    a :class:`Circuit` has already checked its gates against its registers.
+def circuit_unitary(circuit, columns: np.ndarray | None = None) -> np.ndarray:
+    """Exact unitary ``U`` of the gate list, or ``U @ columns`` computed in
+    place on ``columns`` (axis 0 the basis index), tracked global phase
+    excluded.  Only ``U`` itself, a square matrix, must pass
+    :func:`check_dense_matrix`.  Wires are not checked here: a
+    :class:`Circuit` has already checked its gates against its registers.
     """
     q = circuit.num_wires
+    if columns is None:
+        check_dense_matrix(q, "circuit unitary")
+        columns = np.eye(1 << q, dtype=complex)
     for gate in circuit.gates:
-        _apply_matrix_inplace(
-            block, gate.matrix_on_targets(), gate.targets, gate.controls, q
-        )
-    return block
+        _apply_matrix_inplace(columns, gate.matrix_on_targets(), gate.targets, gate.controls, q)
+    return columns
 
 
 def full_unitary(circuit) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Step composition W = S * C, evolution, and distribution extraction.
 
-The coin circuit may come from any builder, and every builder is collapsed
-once into its ``(2^n, 2, 2)`` coin array.  Walk-layout builders (naive,
-Walsh) are collapsed in one dense pass and certified block-diagonal with a
-random probe; the linear-ancilla builder (n <= 8) is collapsed exactly, its
-2^(n+1) basis inputs run as one batch through the sparse kernel, with every
-ancilla checked back at |0>.  Each step of the dense walk-layout vector is
-then a batched 2x2 coin followed by the shift circuit.
+Any builder's coin circuit (:func:`build_coin`) is collapsed once into its
+``(2^n, 2, 2)`` coin array (:func:`collapse`, which ``coinwalk verify`` also
+runs).  A walk-layout circuit (naive, Walsh) collapses in one dense pass,
+certified block-diagonal with a seeded random probe; a linear-ancilla one
+collapses exactly, its 2^(n+1) basis inputs run as one sparse batch, with
+every ancilla checked back at |0>.  Each step of the dense walk-layout
+vector is then a batched 2x2 coin followed by the shift circuit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import ToolkitError, checked
 from . import statevec
 from .circuit import Circuit
 # total_coin_matrix is imported for perfbench's tracer test, which reads
@@ -31,6 +31,8 @@ __all__ = [
     "Distribution",
     "WalkConfig",
     "WalkResult",
+    "build_coin",
+    "collapse",
     "config_from_json",
     "config_to_json",
     "initial_state",
@@ -38,6 +40,7 @@ __all__ = [
     "results_to_csv",
     "results_to_json",
     "run",
+    "shift_deviation",
     "tvd",
 ]
 
@@ -53,7 +56,7 @@ _NORM_SLACK = 1e-9
 _ANCILLA_SLACK = 1e-8
 # largest |U z - blockdiag(B) z| / max|z| a collapsed coin may leave
 _COLLAPSE_SLACK = 1e-9
-_COLLAPSE_SEED = 20220101
+_PROBE_SEED = 20220101
 
 
 @dataclass(frozen=True)
@@ -114,9 +117,10 @@ def _coin_amplitudes(spec: dict | None) -> np.ndarray:
     amps = np.array(
         [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in raw]
     )
-    if amps.shape != (2,) or np.linalg.norm(amps) == 0:
-        raise ValueError("coin amplitude spec must be two nonzero-norm entries")
-    return amps / np.linalg.norm(amps)
+    norm = np.linalg.norm(amps)
+    if amps.shape != (2,) or not 0 < norm < np.inf:
+        raise ValueError("coin amplitude spec must be two entries of finite, nonzero norm")
+    return amps / norm
 
 
 def initial_state(config: WalkConfig) -> np.ndarray:
@@ -155,6 +159,11 @@ def _check_norm(norm: float) -> None:
         raise ToolkitError("norm-drift", f"norm drifted to {norm}")
 
 
+def _shift_rolls(vec: np.ndarray) -> np.ndarray:
+    pairs = vec.reshape(-1, 2)
+    return np.stack([np.roll(pairs[:, 0], -1), np.roll(pairs[:, 1], 1)], axis=1).reshape(-1)
+
+
 def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkResult:
     """Reference evolution in O(N) per step, no circuits involved.
 
@@ -166,70 +175,77 @@ def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkRes
     vec = np.asarray(init, dtype=complex)
     history = [_marginal_walk(vec)]
     for _ in range(steps):
-        pairs = _apply_coins(field.coins, vec).reshape(-1, 2)
-        vec = np.stack([np.roll(pairs[:, 0], -1), np.roll(pairs[:, 1], 1)], axis=1).reshape(-1)
+        vec = _shift_rolls(_apply_coins(field.coins, vec))
         history.append(_marginal_walk(vec))
     return WalkResult(Distribution(history[-1]), vec, history)
 
 
-def _collapse_coin(circuit: Circuit, n: int) -> np.ndarray:
-    """The ``(2^n, 2, 2)`` coin array of a walk-layout coin circuit.
+def build_coin(construction: str, field: CoinField, truncation: int | None = None) -> Circuit:
+    """The naive, linear or walsh coin circuit for ``field``; ``truncation``
+    is the Walsh series order (``None``: the full series)."""
+    if construction == "naive":
+        return naive_mod.build_naive(field)
+    if construction == "linear":
+        return linear_mod.build_linear(field)
+    return walsh_mod.build_walsh_coin(field, m=truncation)
 
-    One pass of the circuit over three columns: coin 0 at every node, coin 1
-    at every node, and a complex Gaussian vector ``z``.  The first two give
-    each node's coin if the operator is block-diagonal; ``z`` certifies that
-    it is (Freivalds): any other operator moves ``U z`` away from
-    ``blockdiag(B) z`` with probability one.
+
+def _probe(circuit: Circuit) -> np.ndarray:
+    """A seeded complex Gaussian vector over a walk-layout circuit's wires."""
+    q = circuit.num_wires
+    if q > statevec.dense_limit():
+        raise ToolkitError("dense-limit-exceeded", f"a probe on {q} qubits is over the dense cap")
+    rng = np.random.default_rng(_PROBE_SEED)
+    return rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
+
+
+def collapse(circuit: Circuit) -> tuple[np.ndarray, float]:
+    """The ``(2^n, 2, 2)`` coin array a coin circuit applies, and its residual.
+
+    A ``linear-ancilla`` circuit collapses exactly (:func:`linear.coin_blocks`).
+    A walk-layout one runs once over the columns ``[coin 0 at every node,
+    coin 1 at every node, z]``, ``z`` a seeded complex Gaussian probe; the
+    residual ``max|U z - blockdiag(coins) z| / max|z|`` certifies (Freivalds)
+    that ``U`` is block-diagonal: any other ``U`` leaves it nonzero with
+    probability one.
     """
-    regs = circuit.registers
-    if regs.layout != "walk" or regs.num_wires != n + 1:
-        raise ToolkitError(
-            "coin-not-block-diagonal",
-            f"coin circuit on a {regs.layout} layout of {regs.num_wires} wires, not walk n={n}",
-        )
-    size = 1 << (n + 1)
-    rng = np.random.default_rng(_COLLAPSE_SEED)
-    z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    block = np.zeros((size, 3), dtype=complex)
+    if circuit.registers.layout == "linear-ancilla":
+        return linear_mod.coin_blocks(circuit)
+    z = _probe(circuit)
+    block = np.zeros((z.size, 3), dtype=complex)
     block[0::2, 0] = 1.0
     block[1::2, 1] = 1.0
     block[:, 2] = z
-    statevec._apply_circuit_to_columns(block, circuit)
+    statevec.circuit_unitary(circuit, block)
     block *= np.exp(1j * float(circuit.metadata.get("global_phase", 0.0)))
     coins = block[:, :2].reshape(-1, 2, 2)  # row 2k+i, column j -> coins[k, i, j]
     residual = float(np.max(np.abs(block[:, 2] - _apply_coins(coins, z))))
-    if not residual <= _COLLAPSE_SLACK * float(np.max(np.abs(z))):
-        raise ToolkitError(
-            "coin-not-block-diagonal",
-            f"coin circuit leaves residual {residual:.3e} off the 2x2 blocks",
-        )
-    return coins
+    return coins, residual / float(np.max(np.abs(z)))
 
 
-def _shift_circuit(config: WalkConfig) -> Circuit:
-    if config.shift_scheme == "qft":
-        return shift_mod.build_shift_qft(config.n)
-    return shift_mod.build_shift_id(config.n)
+def shift_deviation(circuit: Circuit) -> float:
+    """``max|S z - rolls(z)| / max|z|`` for a walk-layout shift circuit ``S``,
+    the probe ``z`` of :func:`collapse` and the shift of :func:`matrix_oracle_run`."""
+    z = _probe(circuit)
+    got = statevec.circuit_unitary(circuit, z.copy())
+    return float(np.max(np.abs(got - _shift_rolls(z)))) / float(np.max(np.abs(z)))
 
 
 def _coin_array(config: WalkConfig) -> np.ndarray:
     """The walk's ``(2^n, 2, 2)`` coin array: the field, or its builder's circuit collapsed."""
-    field = config.field
     if config.coin_builder == "dense-oracle":
-        return field.coins
-    if config.coin_builder == "naive":
-        return _collapse_coin(naive_mod.build_naive(field), config.n)
-    if config.coin_builder == "walsh":
-        return _collapse_coin(walsh_mod.build_walsh_coin(field, m=config.truncation), config.n)
-    circuit = linear_mod.build_linear(field)
-    if circuit.num_wires > _MAX_LINEAR_WIRES:
+        return config.field.coins
+    circuit = build_coin(config.coin_builder, config.field, config.truncation)
+    linear = circuit.registers.layout == "linear-ancilla"
+    if linear and circuit.num_wires > _MAX_LINEAR_WIRES:
         raise ToolkitError(
             "backend-infeasible",
             f"linear layout needs {circuit.num_wires} wires, cap {_MAX_LINEAR_WIRES}",
         )
-    coins, residual = linear_mod.coin_blocks(circuit)
-    if not residual <= _ANCILLA_SLACK:
-        raise ToolkitError("ancilla-residual", f"ancilla residual {residual}")
+    coins, residual = collapse(circuit)
+    code, slack = ("ancilla-residual", _ANCILLA_SLACK) if linear else ("coin-not-block-diagonal", _COLLAPSE_SLACK)
+    if not residual <= slack:
+        raise ToolkitError(code, f"coin circuit leaves residual {residual:.3e}")
     return coins
 
 
@@ -238,7 +254,7 @@ def run(config: WalkConfig) -> WalkResult:
     n = config.n
     if n + 1 > statevec.dense_limit():
         raise ToolkitError("dense-limit-exceeded", f"walk layout for n={n} is over the cap")
-    shift_circuit = _shift_circuit(config)
+    shift_circuit = shift_mod.build_shift(config.shift_scheme, n)
     vec = initial_state(config)
     coins = _coin_array(config)
     history = [_marginal_walk(vec)]
@@ -267,18 +283,31 @@ def config_to_json(config: WalkConfig) -> dict:
     }
 
 
-def config_from_json(data: dict) -> WalkConfig:
-    field = coin_field_from_json(data["field"])
+def _optional(data: dict, key: str, kind: type):
+    value = data.get(key)
+    return None if value is None else checked(value, kind, key)
+
+
+def config_from_json(data) -> WalkConfig:
+    """A walk config from its JSON object; ``ValueError`` on a malformed field."""
+    data = checked(data, dict, "a walk config")
+    initial = _optional(data, "initial", dict)
+    if initial is not None:
+        _optional(initial, "position", int)
+        for amp in _optional(initial, "coin", list) or ():
+            # a number, or a [re, im] pair of numbers
+            for part in amp if isinstance(amp, list) and len(amp) == 2 else [amp]:
+                checked(part, float, "a coin amplitude")
     return WalkConfig(
-        n=int(data["n"]),
-        steps=int(data["steps"]),
-        field=field,
-        coin_builder=data.get("coin_builder", "dense-oracle"),
-        shift_scheme=data.get("shift_scheme", "qft"),
-        truncation=data.get("truncation"),
-        initial=data.get("initial"),
-        shots=data.get("shots"),
-        seed=data.get("seed"),
+        n=checked(data.get("n"), int, "n"),
+        steps=checked(data.get("steps"), int, "steps"),
+        field=coin_field_from_json(data.get("field")),
+        coin_builder=checked(data.get("coin_builder", "dense-oracle"), str, "coin_builder"),
+        shift_scheme=checked(data.get("shift_scheme", "qft"), str, "shift_scheme"),
+        truncation=_optional(data, "truncation", int),
+        initial=initial,
+        shots=_optional(data, "shots", int),
+        seed=_optional(data, "seed", int),
     )
 
 

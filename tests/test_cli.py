@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from coinwalk import (
+    GateInstance,
     circuit_from_json,
     coin_field_to_json,
     config_to_json,
@@ -18,6 +19,7 @@ from coinwalk import (
     random_field,
     WalkConfig,
 )
+from coinwalk import linear, naive, shift, statevec, walsh
 from coinwalk.cli import main
 
 
@@ -184,13 +186,71 @@ def test_bad_circuit_json_is_a_usage_error(tmp_path, capsys, edit):
     assert "error" in capsys.readouterr().err
 
 
-def test_shift_verify_over_the_matrix_budget_exits_1(capsys, monkeypatch, no_large_matrices):
-    # n=13 is 14 wires, inside the default qubit cap, but each 2^14-square
-    # matrix would take 4 GiB.
+def test_shift_verify_past_the_matrix_budget_exits_0(capsys, monkeypatch, no_large_matrices):
+    # n=13 is 14 wires, inside the default qubit cap; a 2^14-square matrix
+    # would take 4 GiB, and the probe needs none.
     monkeypatch.delenv("QWALK_DENSE_LIMIT", raising=False)
     rc = main(["shift", "--scheme", "qft", "--n", "13", "--verify"])
-    assert rc == 1
-    assert "error [dense-limit-exceeded]" in capsys.readouterr().err
+    assert rc == 0
+    assert "max deviation vs permutation oracle" in capsys.readouterr().out
+
+
+def refuse_square_matrices(monkeypatch):
+    def refuse(num_qubits, what):
+        raise AssertionError(f"the CLI built a square matrix: {what} on {num_qubits} qubits")
+
+    monkeypatch.setattr(statevec, "check_dense_matrix", refuse)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("construction", ["naive", "linear", "walsh"])
+def test_verify_builds_no_square_matrix(monkeypatch, construction, n):
+    refuse_square_matrices(monkeypatch)
+    assert main(["verify", "--construction", construction, "--n", str(n), "--seed", "5"]) == 0
+
+
+@pytest.mark.parametrize("scheme", ["qft", "id"])
+def test_shift_verify_builds_no_square_matrix(monkeypatch, scheme):
+    refuse_square_matrices(monkeypatch)
+    assert main(["shift", "--scheme", scheme, "--n", "4", "--verify"]) == 0
+
+
+def with_gate(build, gate_on):
+    def built(*args, **kwargs):
+        circuit = build(*args, **kwargs)
+        return circuit.extended([gate_on(circuit.registers)])
+
+    return built
+
+
+def tiny_rx(regs):
+    return GateInstance("rx", (), (regs.position(0),), 1e-6)
+
+
+@pytest.mark.parametrize(
+    "construction,module,name,gate_on",
+    [
+        ("naive", naive, "build_naive", tiny_rx),
+        ("walsh", walsh, "build_walsh_coin", tiny_rx),
+        ("linear", linear, "build_linear", lambda regs: GateInstance("x", (), (regs.apos(0),))),
+    ],
+    ids=["naive-rx", "walsh-rx", "linear-x-on-ancilla"],
+)
+def test_verify_fails_a_coin_circuit_with_one_extra_gate(
+    monkeypatch, capsys, construction, module, name, gate_on
+):
+    monkeypatch.setattr(module, name, with_gate(getattr(module, name), gate_on))
+    assert main(["verify", "--construction", construction, "--n", "3", "--seed", "1"]) == 1
+    assert "max deviation" in capsys.readouterr().out
+
+
+def test_shift_verify_fails_a_tiny_phase(monkeypatch, capsys):
+    monkeypatch.setattr(
+        shift, "build_shift_qft",
+        with_gate(shift.build_shift_qft, lambda regs: GateInstance("p", (), (regs.position(0),), 1e-6)),
+    )
+    assert main(["shift", "--scheme", "qft", "--n", "3", "--verify"]) == 1
+    assert "max deviation vs permutation oracle" in capsys.readouterr().out
 
 
 def test_unknown_choice_exits_via_argparse():

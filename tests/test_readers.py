@@ -21,6 +21,7 @@ from coinwalk import (
     random_field,
     to_qasm,
 )
+from coinwalk import WalkConfig, coins, config_from_json, config_to_json, initial_state
 from coinwalk.cli import main
 from coinwalk.statevec import DOCUMENT_N_MAX
 
@@ -154,6 +155,63 @@ def test_build_on_a_coin_field_over_the_n_bound_exits_2(tmp_path, capsys, no_lar
     assert "largest a document may name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--construction", "naive", "--n", "30"],
+        ["scaling", "--construction", "walsh", "--n-range", "30..31"],
+    ],
+    ids=["verify", "scaling"],
+)
+def test_cli_n_over_the_bound_exits_2(tmp_path, monkeypatch, capsys, argv):
+    draw = coins.random_field
+
+    def bounded(n, seed):
+        assert n <= DOCUMENT_N_MAX, f"drew a field at n={n}"
+        return draw(n, seed)
+
+    monkeypatch.setattr(coins, "random_field", bounded)
+    out = ["--out", str(tmp_path / "scaling.csv")] if argv[0] == "scaling" else []
+    assert main(argv + out) == 2
+    assert "largest a document may name" in capsys.readouterr().err
+
+
+def walk_config_doc():
+    return json.loads(json.dumps(config_to_json(WalkConfig(
+        1, 2, random_field(1, seed=0), coin_builder="walsh", truncation=1,
+        initial={"position": 1, "coin": [[0.6, 0.0], 0.8]}, shots=8, seed=3,
+    ))))
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        pytest.param(("truncation",), "1", id="string-truncation"),
+        pytest.param(("shots",), "8", id="string-shots"),
+        pytest.param(("steps",), [2], id="list-steps"),
+        pytest.param(("seed",), "3", id="string-seed"),
+        pytest.param(("initial",), [1, 0], id="list-initial"),
+        pytest.param(("steps",), 2.7, id="float-steps"),
+        pytest.param(("n",), "1", id="string-n"),
+        pytest.param(("initial", "position"), [1], id="list-position"),
+        pytest.param(("initial", "coin"), 5, id="integer-coin"),
+        pytest.param(("initial", "coin", 0), [0.6], id="short-amplitude-pair"),
+        pytest.param(("initial", "coin", 1), {"re": 0.8}, id="object-amplitude"),
+    ],
+)
+def test_malformed_walk_config_exits_2(tmp_path, capsys, path, value):
+    config = tmp_path / "walk.json"
+    config.write_text(json.dumps(edited(walk_config_doc(), path, value)))
+    assert main(["walk", "--config", str(config), "--out", str(tmp_path / "out.json")]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_walk_config_must_be_an_object(tmp_path, capsys):
+    config = tmp_path / "walk.json"
+    config.write_text(json.dumps([walk_config_doc()]))
+    assert main(["walk", "--config", str(config), "--out", str(tmp_path / "out.json")]) == 2
+
+
 def test_readers_still_read_their_writers():
     back = circuit_from_json(json.dumps(circuit_doc()))
     assert [g.kind for g in back.gates] == ["cnot", "rz", "u2"]
@@ -213,6 +271,15 @@ def test_edited_documents_give_only_input_errors(data, value):
     coin = data.draw(st.sampled_from(coin_docs()))
     path = data.draw(st.sampled_from(list(paths(coin))))
     only_input_errors(coin_field_from_json, json.dumps(edited(coin, path, value)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), json_values)
+def test_edited_walk_configs_give_only_input_errors(data, value):
+    doc = walk_config_doc()
+    path = data.draw(st.sampled_from(list(paths(doc))))
+    only_input_errors(lambda text: initial_state(config_from_json(json.loads(text))),
+                      json.dumps(edited(doc, path, value)))
 
 
 QASM_LINES = to_qasm(compile_circuit(Circuit(

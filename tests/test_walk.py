@@ -16,7 +16,9 @@ from coinwalk import (
     WalkConfig,
     build_linear,
     build_naive,
+    build_shift_qft,
     build_walsh_coin,
+    coin_blocks,
     config_from_json,
     config_to_json,
     full_unitary,
@@ -99,12 +101,23 @@ def test_collapse_rejects_a_coin_off_the_blocks(monkeypatch, extra):
     assert err.value.code == "coin-not-block-diagonal"
 
 
-def test_collapse_rejects_a_circuit_off_the_walk_layout():
-    field = random_field(2, seed=9)
-    for circuit, n in ((build_naive(field), 3), (build_linear(field), 2)):
+def test_collapse_reads_a_linear_circuit_through_coin_blocks():
+    circuit = build_linear(random_field(2, seed=9))
+    coins, residual = walk_module.collapse(circuit)
+    want, want_residual = coin_blocks(circuit)
+    assert np.array_equal(coins, want)
+    assert residual == want_residual == 0.0
+
+
+def test_probes_refuse_a_walk_layout_over_the_dense_cap(monkeypatch, no_large_matrices):
+    monkeypatch.setenv("QWALK_DENSE_LIMIT", "3")
+    for check, circuit in (
+        (walk_module.collapse, build_naive(random_field(3, seed=9))),
+        (walk_module.shift_deviation, build_shift_qft(3)),
+    ):
         with pytest.raises(ToolkitError) as err:
-            walk_module._collapse_coin(circuit, n)
-        assert err.value.code == "coin-not-block-diagonal"
+            check(circuit)
+        assert err.value.code == "dense-limit-exceeded"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -118,8 +131,9 @@ def test_collapse_matches_full_unitary_blocks(n, build):
     circuit = build(random_field(n, seed=60 + n))
     u = full_unitary(circuit)
     want = np.array([u[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] for k in range(1 << n)])
-    got = walk_module._collapse_coin(circuit, n)
+    got, residual = walk_module.collapse(circuit)
     assert np.max(np.abs(got - want)) <= 1e-12
+    assert residual <= 1e-12
 
 
 # -- runtime invariants ------------------------------------------------------
