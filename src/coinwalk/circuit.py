@@ -12,10 +12,10 @@ Layouts:
   ``((2k + s0) << (2^(n+1)-1)) | (s' << 2^n) | b'``.
 
 Depth is greedy as-soon-as-possible layering: a gate starts on the earliest
-layer where all of its wires are free.  Layering never reorders gates.  In
-the default (block) convention SWAP and controlled-SWAP occupy three layers
-and every other gate one; ``expanded=True`` first rewrites SWAP/CSWAP into
-their CNOT-basis realizations and then layers with unit weights.
+layer where all of its wires are free.  Layering never reorders gates.  SWAP
+and controlled-SWAP occupy three layers (the block convention) and every
+other gate one; ``depth(transpile.expand_swaps(c))`` layers the circuit
+with SWAP/CSWAP rewritten into their CNOT-basis realizations instead.
 """
 
 from __future__ import annotations
@@ -262,28 +262,13 @@ class Circuit:
 _BLOCK_WEIGHT = {"swap": 3, "cswap": 3}
 
 
-def depth(circuit: Circuit, expanded: bool = False) -> int:
-    """ASAP layer count; see the module docstring for the two conventions."""
-    if expanded:
-        from . import transpile  # deferred: transpile builds on this module
-
-        gates = []
-        for g in circuit.gates:
-            if g.kind == "swap":
-                gates.extend(transpile.swap_gates(*g.targets))
-            elif g.kind == "cswap":
-                gates.extend(transpile.cswap_gates(g.controls[0], *g.targets))
-            else:
-                gates.append(g)
-        weight = lambda g: 1
-    else:
-        gates = circuit.gates
-        weight = lambda g: _BLOCK_WEIGHT.get(g.kind, 1)
+def depth(circuit: Circuit) -> int:
+    """ASAP layer count in the block convention of the module docstring."""
     free = [0] * circuit.num_wires
     total = 0
-    for g in gates:
+    for g in circuit.gates:
         start = max((free[w] for w in g.wires), default=0)
-        end = start + weight(g)
+        end = start + _BLOCK_WEIGHT.get(g.kind, 1)
         for w in g.wires:
             free[w] = end
         total = max(total, end)

@@ -73,7 +73,7 @@ def _cmd_analyze(args) -> int:
         "gates": len(circ.gates),
         "gate_counts": cir.gate_counts(circ),
         "depth": cir.depth(circ),
-        "depth_expanded": cir.depth(circ, expanded=True),
+        "depth_expanded": cir.depth(transpile.expand_swaps(circ)),
     }
     report.update(_predictions(circ))
     if args.compile:
@@ -142,7 +142,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_shift(args) -> int:
-    circ = shift.build_shift(args.scheme, args.n)
+    circ = shift.build_shift(args.scheme, statevec.check_document_n(args.n))
     size, depth_ = shift.predicted_cost(args.scheme, args.n)
     compiled = transpile.compile_circuit(circ)
     print(json.dumps({

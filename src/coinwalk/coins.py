@@ -71,30 +71,30 @@ def euler_matrix(f0: float, f1: float, f2: float, f3: float) -> np.ndarray:
     )
 
 
-def euler_factorization(u: np.ndarray, atol: float = 1e-10) -> tuple[float, float, float, float]:
+def euler_factorization(u: np.ndarray) -> tuple[float, float, float, float]:
     """Angles (F0, F1, F2, F3) with ``euler_matrix(*angles) == u``.
 
-    Branch choices: F2 in [0, pi/2], F0 in (-pi/2, pi/2] from the principal
-    argument of ``det u``; when ``cos(F2) sin(F2) = 0`` one relative phase is
-    unconstrained and F3 is fixed to 0.
+    As ``exp(i f Z) = Rz(-2f)`` and ``exp(i f Y) = Ry(-2f)``, this is also
+    ``u = exp(i F0) Rz(-2 F1) Ry(-2 F2) Rz(-2 F3)``, the form the transpiler
+    lowers every 2x2 block to.  Branch choices: F0 in (-pi/2, pi/2] from the
+    principal argument of ``det u``, F2 in [-pi/2, 0]; when
+    ``cos(F2) sin(F2) = 0`` one relative phase is unconstrained and F3 is
+    fixed to 0.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not statevec.is_unitary(u, atol):
+    if u.shape != (2, 2) or not statevec.is_unitary(u):
         raise ToolkitError("not-unitary", "euler factorization needs a 2x2 unitary")
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    f0 = 0.5 * np.arctan2(det.imag, det.real)
+    f0 = 0.5 * float(np.arctan2(det.imag, det.real))
     v = np.exp(-1j * f0) * u
-    ct, st = abs(v[0, 0]), abs(v[0, 1])
-    f2 = float(np.arctan2(st, ct))
-    degenerate_tol = 1e-14
-    if st <= degenerate_tol:
-        f1, f3 = float(np.angle(v[0, 0])), 0.0
-    elif ct <= degenerate_tol:
-        f1, f3 = float(np.angle(v[0, 1])), 0.0
-    else:
-        xi, zeta = np.angle(v[0, 0]), np.angle(v[0, 1])
-        f1, f3 = float((xi + zeta) / 2), float((xi - zeta) / 2)
-    return float(f0), f1, f2, f3
+    a, b = abs(v[0, 0]), abs(v[1, 0])
+    f2 = -float(np.arctan2(b, a))
+    s, t = float(np.angle(v[0, 0])), float(np.angle(v[1, 0]))
+    if b <= 1e-14:
+        return f0, s, f2, 0.0
+    if a <= 1e-14:
+        return f0, -t, f2, 0.0
+    return f0, (s - t) / 2, f2, (s + t) / 2
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import statevec
+from .errors import ToolkitError
 from .circuit import Circuit, GateInstance, RegisterMap, dagger
 from .coins import CoinField
 
@@ -199,11 +200,20 @@ def coin_blocks(circuit: Circuit) -> tuple[np.ndarray, float]:
     ``|k, c'>`` under tag ``2k + c``.  ``residual`` is the largest amplitude
     left anywhere else; by linearity, zero on every basis input means the
     ancillas come back to |0> on every input state.  No global phase is
-    applied: :func:`build_linear` tracks none.
+    applied: :func:`build_linear` tracks none.  The bit rows, up to two per
+    input once Q0 branches them, must fit in :data:`statevec.MATRIX_BYTES_MAX`
+    (``"dense-limit-exceeded"`` before anything is allocated otherwise).
     """
     regs = circuit.registers
     q = regs.num_wires
     inputs = 2 << regs.n
+    size = 2 * inputs * (q + regs.n + 1)
+    if size > statevec.MATRIX_BYTES_MAX:
+        raise ToolkitError(
+            "dense-limit-exceeded",
+            f"the collapse of n={regs.n} needs {size / 2**30:g} GiB of bit rows, over the "
+            f"{statevec.MATRIX_BYTES_MAX / 2**30:g} GiB matrix budget",
+        )
     landing = {regs.embed(j >> 1, j & 1): j for j in range(inputs)}
     start = statevec.SparseState(
         q + regs.n + 1, {index | (j << q): 1.0 for index, j in landing.items()}

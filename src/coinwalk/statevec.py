@@ -125,27 +125,18 @@ def _validate_wires(num_qubits: int, targets, controls, dim: int):
 
 
 def _apply_matrix_inplace(arr, mat, targets, controls, num_qubits):
-    """Apply a (controlled) gate to axis 0 of a dense array, in place."""
+    """Apply a (controlled) gate to axis 0 of a dense array, in place.
+
+    Axis 0 is viewed as one axis per wire (wire ``w`` at axis
+    ``num_qubits - 1 - w``), which is a view whatever the array's strides;
+    the target axes move to the front, each control axis is fixed at 1, and
+    the gate contracts the target axes.
+    """
+    view = arr.reshape((2,) * num_qubits + arr.shape[1:])
+    wires = [num_qubits - 1 - w for w in tuple(targets) + tuple(controls)]
     m = len(targets)
-    dim = 1 << num_qubits
-    idx = np.arange(dim, dtype=np.int64)
-    mask = np.ones(dim, dtype=bool)
-    for c in controls:
-        mask &= ((idx >> c) & 1).astype(bool)
-    for t in targets:
-        mask &= ~((idx >> t) & 1).astype(bool)
-    base = idx[mask]
-    if base.size == 0:
-        return arr
-    rows = np.empty((1 << m, base.size), dtype=np.int64)
-    for j in range(1 << m):
-        off = 0
-        for i in range(m):
-            if (j >> (m - 1 - i)) & 1:
-                off |= 1 << targets[i]
-        rows[j] = base | off
-    block = arr[rows]
-    arr[rows] = np.tensordot(mat, block, axes=([1], [0]))
+    block = np.moveaxis(view, wires, range(len(wires)))[(slice(None),) * m + (1,) * len(controls)]
+    block[...] = np.tensordot(mat.reshape((2,) * 2 * m), block, axes=(range(m, 2 * m), range(m)))
     return arr
 
 

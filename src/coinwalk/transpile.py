@@ -6,6 +6,10 @@ rewrites are exact gate identities; the only non-gate artifact is a scalar
 phase, which is accumulated in circuit metadata under ``"global_phase"`` and
 never dropped.
 
+A 2x2 block is lowered through :func:`coins.euler_factorization`, the
+package's one U(2) factorization: its angles ``(F0, F1, F2, F3)`` give
+``u = e^{i F0} Rz(-2 F1) Ry(-2 F2) Rz(-2 F3)``.
+
 Multi-controlled gates use the ancilla-free split: ``C^k(U)`` peels one
 control at a time through ``V = sqrt(U)`` conjugations, and the inner
 multi-controlled X gates borrow already-present wires (in whatever state)
@@ -18,6 +22,7 @@ import numpy as np
 
 from .errors import ToolkitError
 from .circuit import BASIS_KINDS, Circuit, GateInstance
+from .coins import euler_factorization
 from . import statevec
 from .walsh import gray_code_optimize  # noqa: F401  (perfbench/tracing.py wraps it here)
 
@@ -28,34 +33,14 @@ __all__ = [
     "cz_gates",
     "decompose_mcu",
     "decompose_su2",
+    "expand_swaps",
     "sqrt_u2",
     "swap_gates",
     "toffoli_gates",
     "x_gates",
-    "zyz_angles",
 ]
 
 _ANGLE_EPS = 1e-13
-
-
-def zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Return (phase, beta, gamma, delta) with u = e^{i phase} Rz(beta) Ry(gamma) Rz(delta)."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not statevec.is_unitary(u):
-        raise ToolkitError("not-unitary", "zyz decomposition needs a 2x2 unitary")
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    phase = 0.5 * float(np.arctan2(det.imag, det.real))
-    v = np.exp(-1j * phase) * u
-    a, b = abs(v[0, 0]), abs(v[1, 0])
-    gamma = 2.0 * float(np.arctan2(b, a))
-    if b <= 1e-14:
-        beta, delta = -2.0 * float(np.angle(v[0, 0])), 0.0
-    elif a <= 1e-14:
-        beta, delta = 2.0 * float(np.angle(v[1, 0])), 0.0
-    else:
-        s, t = float(np.angle(v[0, 0])), float(np.angle(v[1, 0]))
-        beta, delta = t - s, -t - s
-    return phase, beta, gamma, delta
 
 
 def _rot(kind: str, wire: int, angle: float) -> list[GateInstance]:
@@ -66,9 +51,9 @@ def _rot(kind: str, wire: int, angle: float) -> list[GateInstance]:
 
 def decompose_su2(u: np.ndarray, wire: int) -> tuple[list[GateInstance], float]:
     """One-qubit unitary as Rz/Ry gates plus an explicit scalar phase."""
-    phase, beta, gamma, delta = zyz_angles(u)
-    gates = _rot("rz", wire, delta) + _rot("ry", wire, gamma) + _rot("rz", wire, beta)
-    return gates, phase
+    f0, f1, f2, f3 = euler_factorization(u)
+    gates = _rot("rz", wire, -2 * f3) + _rot("ry", wire, -2 * f2) + _rot("rz", wire, -2 * f1)
+    return gates, f0
 
 
 def x_gates(wire: int) -> list[GateInstance]:
@@ -127,15 +112,27 @@ def cswap_gates(control: int, a: int, b: int) -> list[GateInstance]:
     return [pre] + toffoli_gates(control, a, b) + [pre]
 
 
+def expand_swaps(circuit: Circuit) -> Circuit:
+    """The circuit with every SWAP and CSWAP rewritten into its basis gates."""
+    gates: list[GateInstance] = []
+    for g in circuit.gates:
+        if g.kind == "swap":
+            gates.extend(swap_gates(*g.targets))
+        elif g.kind == "cswap":
+            gates.extend(cswap_gates(g.controls[0], *g.targets))
+        else:
+            gates.append(g)
+    return Circuit(circuit.registers, tuple(gates), dict(circuit.metadata))
+
+
 def controlled_u2_gates(control: int, target: int, u: np.ndarray) -> list[GateInstance]:
     """Exact singly controlled U(2): ABC conjugation plus P(phase) on the control."""
-    phase, beta, gamma, delta = zyz_angles(u)
+    f0, f1, f2, f3 = euler_factorization(u)
     cx = GateInstance("cnot", (control,), (target,))
-    c_part = _rot("rz", target, (delta - beta) / 2)
-    b_part = _rot("rz", target, -(delta + beta) / 2) + _rot("ry", target, -gamma / 2)
-    a_part = _rot("ry", target, gamma / 2) + _rot("rz", target, beta)
-    gates = c_part + [cx] + b_part + [cx] + a_part + _rot("p", control, phase)
-    return gates
+    c_part = _rot("rz", target, f1 - f3)
+    b_part = _rot("rz", target, f1 + f3) + _rot("ry", target, f2)
+    a_part = _rot("ry", target, -f2) + _rot("rz", target, -2 * f1)
+    return c_part + [cx] + b_part + [cx] + a_part + _rot("p", control, f0)
 
 
 def sqrt_u2(u: np.ndarray) -> np.ndarray:

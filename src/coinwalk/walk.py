@@ -78,8 +78,9 @@ class WalkConfig:
             raise ValueError(f"unknown coin builder {self.coin_builder!r}")
         if self.shift_scheme not in SHIFT_SCHEMES:
             raise ValueError(f"unknown shift scheme {self.shift_scheme!r}")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1 when sampling")
+        if self.shots is not None and not 1 <= self.shots < 1 << 63:
+            # numpy's multinomial draws take an int64 count
+            raise ValueError("shots must be between 1 and 2**63 - 1 when sampling")
         if self.field.n != self.n:
             raise ValueError("coin field size does not match n")
 
@@ -112,8 +113,8 @@ def tvd(p, q) -> float:
     return 0.5 * float(np.abs(pa - qa).sum())
 
 
-def _coin_amplitudes(spec: dict | None) -> np.ndarray:
-    raw = (spec or {}).get("coin", [1, 0])
+def _coin_amplitudes(spec: dict) -> np.ndarray:
+    raw = spec.get("coin", [1, 0])
     amps = np.array(
         [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in raw]
     )
@@ -126,7 +127,8 @@ def _coin_amplitudes(spec: dict | None) -> np.ndarray:
 def initial_state(config: WalkConfig) -> np.ndarray:
     """Dense walk-layout vector: |position> (x) (coin amplitudes)."""
     n = config.n
-    spec = config.initial or {}
+    # a null entry means the same as an absent one
+    spec = {key: value for key, value in (config.initial or {}).items() if value is not None}
     k = int(spec.get("position", 0))
     if not 0 <= k < 1 << n:
         raise ToolkitError("index-out-of-range", f"initial position {k} for n={n}")

@@ -13,6 +13,7 @@ from coinwalk import (
     full_unitary,
     gate_counts,
 )
+from coinwalk.transpile import expand_swaps
 
 
 def test_gate_kinds_and_payload_validation():
@@ -143,8 +144,9 @@ def test_depth_weights_swap_blocks():
     cswap = Circuit(regs, [GateInstance("cswap", controls=(0,), targets=(1, 2))], {})
     assert depth(swap) == 3
     assert depth(cswap) == 3
-    assert depth(swap, expanded=True) == 3
-    assert depth(cswap, expanded=True) > 3
+    assert depth(expand_swaps(swap)) == 3
+    assert depth(expand_swaps(cswap)) > 3
+    assert [g.kind for g in expand_swaps(swap).gates] == ["cnot"] * 3
 
 
 def test_gate_counts_by_kind():

@@ -64,6 +64,7 @@ def test_euler_factorization_round_trip(a, b, c, d):
     u = coin_from_k_params(abs(a), abs(b), c, d)
     f = euler_factorization(u)
     assert np.max(np.abs(euler_matrix(*f) - u)) < 1e-9
+    assert -np.pi / 2 <= f[2] <= 0.0
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from coinwalk import statevec
 from coinwalk import (
     Circuit,
     GateInstance,
+    RegisterMap,
     SparseState,
+    ToolkitError,
     apply_circuit,
     build_linear,
     build_q0,
@@ -216,6 +219,24 @@ def test_coin_blocks_report_an_ancilla_left_set():
     flipped = circ.extended([GateInstance("x", (), (circ.registers.apos(0),))])
     _, residual = coin_blocks(flipped)
     assert residual == 1.0
+
+
+class Allocated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n,refused", [(13, False), (14, True)])
+def test_coin_blocks_check_the_byte_budget_before_allocating(monkeypatch, n, refused):
+    # 2^(n+2) bit rows of (2^(n+1) + 2n + 1) bytes: 0.5 GiB at n=13, 2 GiB at n=14.
+    def allocated(*args):
+        raise Allocated
+
+    monkeypatch.setattr(statevec, "SparseState", allocated)
+    empty = Circuit(RegisterMap.linear(n), (), {})
+    with pytest.raises(ToolkitError if refused else Allocated) as err:
+        coin_blocks(empty)
+    if refused:
+        assert err.value.code == "dense-limit-exceeded"
 
 
 def test_serial_and_parallel_q1_agree_on_the_working_subspace():

@@ -3,6 +3,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from coinwalk import (
     to_qasm,
 )
 from coinwalk import WalkConfig, coins, config_from_json, config_to_json, initial_state
+from coinwalk import shift
 from coinwalk.cli import main
 from coinwalk.statevec import DOCUMENT_N_MAX
 
@@ -160,17 +162,23 @@ def test_build_on_a_coin_field_over_the_n_bound_exits_2(tmp_path, capsys, no_lar
     [
         ["verify", "--construction", "naive", "--n", "30"],
         ["scaling", "--construction", "walsh", "--n-range", "30..31"],
+        ["shift", "--scheme", "id", "--n", "1000"],
     ],
-    ids=["verify", "scaling"],
+    ids=["verify", "scaling", "shift"],
 )
 def test_cli_n_over_the_bound_exits_2(tmp_path, monkeypatch, capsys, argv):
-    draw = coins.random_field
+    draw, build = coins.random_field, shift.build_shift
 
     def bounded(n, seed):
         assert n <= DOCUMENT_N_MAX, f"drew a field at n={n}"
         return draw(n, seed)
 
+    def bounded_shift(scheme, n):
+        assert n <= DOCUMENT_N_MAX, f"built a shift at n={n}"
+        return build(scheme, n)
+
     monkeypatch.setattr(coins, "random_field", bounded)
+    monkeypatch.setattr(shift, "build_shift", bounded_shift)
     out = ["--out", str(tmp_path / "scaling.csv")] if argv[0] == "scaling" else []
     assert main(argv + out) == 2
     assert "largest a document may name" in capsys.readouterr().err
@@ -197,6 +205,7 @@ def walk_config_doc():
         pytest.param(("initial", "coin"), 5, id="integer-coin"),
         pytest.param(("initial", "coin", 0), [0.6], id="short-amplitude-pair"),
         pytest.param(("initial", "coin", 1), {"re": 0.8}, id="object-amplitude"),
+        pytest.param(("shots",), 10**30, id="shots-over-int64"),
     ],
 )
 def test_malformed_walk_config_exits_2(tmp_path, capsys, path, value):
@@ -204,6 +213,19 @@ def test_malformed_walk_config_exits_2(tmp_path, capsys, path, value):
     config.write_text(json.dumps(edited(walk_config_doc(), path, value)))
     assert main(["walk", "--config", str(config), "--out", str(tmp_path / "out.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["position", "coin"])
+def test_null_initial_entry_reads_as_absent(tmp_path, capsys, key):
+    doc = walk_config_doc()
+    doc["initial"][key] = None
+    absent = walk_config_doc()
+    del absent["initial"][key]
+    want = initial_state(config_from_json(absent))
+    assert np.array_equal(initial_state(config_from_json(doc)), want)
+    config = tmp_path / "walk.json"
+    config.write_text(json.dumps(doc))
+    assert main(["walk", "--config", str(config), "--out", str(tmp_path / "out.json")]) == 0
 
 
 def test_walk_config_must_be_an_object(tmp_path, capsys):

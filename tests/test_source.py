@@ -17,3 +17,16 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in the library: {', '.join(found)}"
+
+
+def test_library_imports_only_at_module_level():
+    # A deferred import inside a function hides an import cycle.
+    found = [
+        f"{path.name}:{inner.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert not found, f"function-level imports in the library: {', '.join(found)}"

@@ -208,6 +208,28 @@ def test_apply_circuit_and_unitary_agree():
     assert np.allclose(apply_circuit(vec, circ), u @ vec, atol=1e-12)
 
 
+@pytest.mark.parametrize("layout", ["fortran", "sliced"])
+def test_circuit_unitary_runs_in_place_on_strided_columns(layout):
+    regs = RegisterMap.walk(2)
+    gates = [
+        GateInstance("u2", targets=(regs.coin(),), matrix=random_unitary(2, 4)),
+        GateInstance("cnot", controls=(regs.position(1),), targets=(regs.coin(),)),
+        GateInstance("cswap", controls=(regs.coin(),), targets=(regs.position(0), regs.position(1))),
+        GateInstance("mcu2", controls=(regs.coin(), regs.position(1)), targets=(regs.position(0),),
+                     matrix=random_unitary(2, 5)),
+    ]
+    circ = Circuit(regs, gates, {})
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(16, 3)) + 1j * rng.normal(size=(16, 3))
+    columns = np.asfortranarray(data[:8]) if layout == "fortran" else data[::2]
+    between = data[1::2].copy()
+    want = circuit_unitary(circ) @ columns
+    got = circuit_unitary(circ, columns)
+    assert got is columns
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.array_equal(data[1::2], between)  # rows outside the slice are untouched
+
+
 def test_full_unitary_applies_tracked_phase():
     regs = RegisterMap.walk(1)
     circ = Circuit(regs, [], {"global_phase": np.pi / 3})

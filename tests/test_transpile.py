@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coinwalk import Circuit, GateInstance, RegisterMap, ToolkitError, full_unitary
+from coinwalk import Circuit, GateInstance, RegisterMap, ToolkitError, euler_factorization, full_unitary
 from coinwalk import transpile
 from coinwalk.circuit import BASIS_KINDS
 from coinwalk.statevec import apply_gate, is_unitary
@@ -17,7 +17,6 @@ from coinwalk.transpile import (
     swap_gates,
     toffoli_gates,
     x_gates,
-    zyz_angles,
 )
 from coinwalk.walsh import gray_code_optimize
 
@@ -51,22 +50,42 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
+def rz(a):
+    return np.array([[np.exp(-0.5j * a), 0], [0, np.exp(0.5j * a)]])
+
+
+def ry(a):
+    return np.array([[np.cos(a / 2), -np.sin(a / 2)], [np.sin(a / 2), np.cos(a / 2)]])
+
+
+def zyz_rebuild(f0, f1, f2, f3):
+    """u = e^{i F0} Rz(-2 F1) Ry(-2 F2) Rz(-2 F3), the form the transpiler emits."""
+    return np.exp(1j * f0) * (rz(-2 * f1) @ ry(-2 * f2) @ rz(-2 * f3))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_zyz_angles_reconstruct(seed):
     u = random_u2(seed)
-    phase, beta, gamma, delta = zyz_angles(u)
-    rz = lambda a: np.array([[np.exp(-0.5j * a), 0], [0, np.exp(0.5j * a)]])
-    ry = lambda a: np.array(
-        [[np.cos(a / 2), -np.sin(a / 2)], [np.sin(a / 2), np.cos(a / 2)]]
-    )
-    v = np.exp(1j * phase) * (rz(beta) @ ry(gamma) @ rz(delta))
-    assert np.max(np.abs(v - u)) < 1e-12
+    assert np.max(np.abs(zyz_rebuild(*euler_factorization(u)) - u)) < 1e-12
 
 
 @pytest.mark.parametrize("u", [np.eye(2, dtype=complex), X, H, np.diag([1, 1j])])
 def test_zyz_angles_special_matrices(u):
-    phase, beta, gamma, delta = zyz_angles(u)
-    assert np.isfinite([phase, beta, gamma, delta]).all()
+    f = euler_factorization(u)
+    assert np.isfinite(f).all()
+    assert -np.pi / 2 <= f[2] <= 0.0
+    assert np.max(np.abs(zyz_rebuild(*f) - u)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "u", [ry(0.7), H, X, np.diag([np.exp(0.3j), np.exp(-0.9j)])], ids=["ry", "h", "x", "diagonal"]
+)
+def test_decompose_su2_rotates_by_minus_twice_the_euler_angles(u):
+    f0, f1, f2, f3 = euler_factorization(u)
+    gates, phase = decompose_su2(u, 0)
+    want = [(kind, a) for kind, a in [("rz", -2 * f3), ("ry", -2 * f2), ("rz", -2 * f1)] if abs(a) > 1e-13]
+    assert [(g.kind, g.angle) for g in gates] == want
+    assert phase == f0
 
 
 def test_decompose_su2_matches_with_phase():

@@ -325,6 +325,9 @@ def test_config_guards():
     with pytest.raises(ValueError):
         WalkConfig(2, 1, field, shots=0)
     with pytest.raises(ValueError):
+        WalkConfig(2, 1, field, shots=1 << 63)  # numpy samples int64 counts
+    WalkConfig(2, 1, field, shots=(1 << 63) - 1)
+    with pytest.raises(ValueError):
         WalkConfig(3, 1, field)
 
 
