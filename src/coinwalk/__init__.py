@@ -54,9 +54,7 @@ from .statevec import (
     apply_circuit,
     apply_gate,
     circuit_unitary,
-    dense_limit,
     full_unitary,
-    spectral_norm_diff,
 )
 from .transpile import compile_circuit, decompose_mcu
 from .walk import (
@@ -78,12 +76,7 @@ from .walsh import (
     build_walsh,
     build_walsh_coin,
     derivative_sup_estimate,
-    function_from_spec,
     gray_code_optimize,
-    gray_walsh_gates,
-    series_from_json,
-    series_to_json,
-    smoothness_check,
     truncate,
     truncation_error_bound,
     unwrap_angles,
@@ -122,7 +115,6 @@ __all__ = [
     "config_to_json",
     "dagger",
     "decompose_mcu",
-    "dense_limit",
     "depth",
     "derivative_sup_estimate",
     "dirac_field",
@@ -132,11 +124,9 @@ __all__ = [
     "euler_matrix",
     "from_qasm",
     "full_unitary",
-    "function_from_spec",
     "gate_counts",
     "GateInstance",
     "gray_code_optimize",
-    "gray_walsh_gates",
     "identity_field",
     "initial_state",
     "matrix_oracle_run",
@@ -147,12 +137,8 @@ __all__ = [
     "results_to_csv",
     "results_to_json",
     "run",
-    "series_from_json",
-    "series_to_json",
     "shift_permutation_matrix",
-    "smoothness_check",
     "SparseState",
-    "spectral_norm_diff",
     "to_qasm",
     "ToolkitError",
     "total_coin_matrix",

@@ -172,10 +172,11 @@ def build_q2(n: int) -> Circuit:
     return Circuit(regs, tuple(gates), {"builder": "q2", "n": n})
 
 
-def build_linear(field: CoinField, parallel: bool = True) -> Circuit:
-    """Full sandwich Q1 -> Q2 -> Q0 -> Q2^dag -> Q1^dag on the ancilla layout."""
+def build_linear(field: CoinField) -> Circuit:
+    """Full sandwich Q1 -> Q2 -> Q0 -> Q2^dag -> Q1^dag on the ancilla layout,
+    Q1 being :func:`build_q1_parallel`."""
     n = field.n
-    q1 = (build_q1_parallel if parallel else build_q1_naive)(n)
+    q1 = build_q1_parallel(n)
     q2 = build_q2(n)
     q0 = build_q0(field)
     gates = (
@@ -185,7 +186,7 @@ def build_linear(field: CoinField, parallel: bool = True) -> Circuit:
         + [dagger(g) for g in reversed(q2.gates)]
         + [dagger(g) for g in reversed(q1.gates)]
     )
-    meta = {"builder": "linear", "n": n, "parallel": parallel}
+    meta = {"builder": "linear", "n": n}
     return Circuit(q1.registers, tuple(gates), meta)
 
 

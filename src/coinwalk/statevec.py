@@ -7,9 +7,8 @@ the gate's own :math:`2^m \\times 2^m` matrix.  Control wires condition on
 :math:`|1\\rangle`.
 
 Dense objects are plain ``numpy`` complex arrays; the cap on dense work is
-``2**dense_limit()`` amplitudes per axis and can be raised or lowered with
-the ``QWALK_DENSE_LIMIT`` environment variable.  A square matrix must also
-fit in :data:`MATRIX_BYTES_MAX`, whatever that variable says.
+``2**DENSE_QUBITS_MAX`` amplitudes per axis, and a square matrix must also
+fit in :data:`MATRIX_BYTES_MAX`.
 
 A :class:`SparseState` keeps only its nonzero amplitudes, as arrays: one bit
 row per amplitude and a complex vector beside them, so it runs a batch of
@@ -18,7 +17,6 @@ basis inputs at once and reaches any number of wires.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 
 import numpy as np
@@ -29,6 +27,7 @@ __all__ = [
     "ATOL_ENTRY",
     "ATOL_NORM",
     "ATOL_UNITARY",
+    "DENSE_QUBITS_MAX",
     "DOCUMENT_N_MAX",
     "MATRIX_BYTES_MAX",
     "PRUNE_TOL",
@@ -38,11 +37,9 @@ __all__ = [
     "check_dense_matrix",
     "check_document_n",
     "circuit_unitary",
-    "dense_limit",
     "float_array",
     "full_unitary",
     "is_unitary",
-    "spectral_norm_diff",
 ]
 
 ATOL_UNITARY = 1e-10
@@ -50,7 +47,8 @@ ATOL_NORM = 1e-10
 ATOL_ENTRY = 1e-12
 PRUNE_TOL = 1e-14
 
-_DEFAULT_DENSE_LIMIT = 14
+#: Largest qubit count of a dense vector, and of each axis of a dense matrix.
+DENSE_QUBITS_MAX = 14
 
 #: Largest dense square matrix, in bytes: a complex 2^13 x 2^13 matrix.
 MATRIX_BYTES_MAX = 1 << 30
@@ -60,33 +58,21 @@ MATRIX_BYTES_MAX = 1 << 30
 DOCUMENT_N_MAX = (MATRIX_BYTES_MAX // 64).bit_length() - 1
 
 
-def dense_limit() -> int:
-    """Largest qubit count allowed for dense vectors and matrices."""
-    raw = os.environ.get("QWALK_DENSE_LIMIT")
-    if raw is None:
-        return _DEFAULT_DENSE_LIMIT
-    try:
-        return int(raw)
-    except ValueError:
-        raise ToolkitError(
-            "dense-limit-exceeded",
-            f"QWALK_DENSE_LIMIT must be an integer, got {raw!r}",
-        ) from None
-
-
 def check_dense_matrix(num_qubits: int, what: str) -> None:
     """Refuse, before allocating, a ``2^q``-square complex matrix over either cap."""
     size = 16 << (2 * num_qubits)
-    if num_qubits > dense_limit() or size > MATRIX_BYTES_MAX:
+    if num_qubits > DENSE_QUBITS_MAX or size > MATRIX_BYTES_MAX:
         raise ToolkitError(
             "dense-limit-exceeded",
             f"{what} on {num_qubits} qubits ({size / 2**30:g} GiB) is over the dense cap "
-            f"{dense_limit()} or the {MATRIX_BYTES_MAX / 2**30:g} GiB matrix budget",
+            f"{DENSE_QUBITS_MAX} or the {MATRIX_BYTES_MAX / 2**30:g} GiB matrix budget",
         )
 
 
 def check_document_n(n: int) -> int:
-    """``n`` if a document may name it, at most :data:`DOCUMENT_N_MAX`; ``ValueError`` otherwise."""
+    """``n`` if a document may name it, 1 to :data:`DOCUMENT_N_MAX`; ``ValueError`` otherwise."""
+    if n < 1:
+        raise ValueError(f"n={n} is under 1, the smallest a document may name")
     if n > DOCUMENT_N_MAX:
         raise ValueError(f"n={n} is over {DOCUMENT_N_MAX}, the largest a document may name")
     return n
@@ -288,9 +274,6 @@ class SparseState:
     def norm(self) -> float:
         return float(np.linalg.norm(self._amps))
 
-    def support(self) -> int:
-        return self._amps.size
-
     def apply_gate(self, gate: np.ndarray, targets, controls=()) -> "SparseState":
         mat = np.asarray(gate, dtype=complex)
         targets = tuple(targets)
@@ -334,10 +317,10 @@ class SparseState:
         return self.amplitudes.get(index, 0.0)
 
     def to_dense(self) -> np.ndarray:
-        if self.num_qubits > dense_limit():
+        if self.num_qubits > DENSE_QUBITS_MAX:
             raise ToolkitError(
                 "dense-limit-exceeded",
-                f"{self.num_qubits} qubits exceed the dense cap {dense_limit()}",
+                f"{self.num_qubits} qubits exceed the dense cap {DENSE_QUBITS_MAX}",
             )
         vec = np.zeros(1 << self.num_qubits, dtype=complex)
         vec[_indices(self._bits)] = self._amps
@@ -375,51 +358,3 @@ def full_unitary(circuit) -> np.ndarray:
     phase = float(circuit.metadata.get("global_phase", 0.0))
     return np.exp(1j * phase) * circuit_unitary(circuit)
 
-
-def spectral_norm_diff(
-    a: np.ndarray,
-    b: np.ndarray,
-    rel_tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> float:
-    """Largest singular value of ``a - b`` by power iteration on (a-b)†(a-b).
-
-    Raises ``ToolkitError("power-iteration-stall")`` if the dominant
-    eigenvalue estimate has not settled to ``rel_tol`` after ``max_iter``
-    iterations.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    d = a - b
-    scale = float(np.max(np.abs(d)))
-    if scale == 0.0:
-        return 0.0
-    d = d / scale
-    g = d.conj().T @ d
-    k = g.shape[0]
-    v = (1.0 + np.linspace(0.0, 1.0, k)).astype(complex)
-    v /= np.linalg.norm(v)
-    lam_prev = None
-    restarted = False
-    for it in range(max_iter):
-        w = g @ v
-        lam = float(np.real(np.vdot(v, w)))
-        if lam_prev is not None and abs(lam - lam_prev) <= rel_tol * max(abs(lam), 1e-300):
-            return float(np.sqrt(max(lam, 0.0))) * scale
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0 or (not restarted and it == max_iter // 2):
-            # start vector was (numerically) orthogonal to the top eigenspace
-            rng = np.random.default_rng(0)
-            v = rng.normal(size=k) + 1j * rng.normal(size=k)
-            v /= np.linalg.norm(v)
-            lam_prev = None
-            restarted = True
-            continue
-        v = w / nw
-        lam_prev = lam
-    raise ToolkitError(
-        "power-iteration-stall",
-        f"no convergence to rel_tol={rel_tol} within {max_iter} iterations",
-    )

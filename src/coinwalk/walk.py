@@ -172,7 +172,7 @@ def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkRes
     Each step applies ``field.coins`` to the amplitude pairs, then rolls the
     coin-0 column one node down and the coin-1 column one node up.
     """
-    if field.n + 1 > statevec.dense_limit():
+    if field.n + 1 > statevec.DENSE_QUBITS_MAX:
         raise ToolkitError("dense-limit-exceeded", "oracle run needs n under the dense cap")
     vec = np.asarray(init, dtype=complex)
     history = [_marginal_walk(vec)]
@@ -184,18 +184,21 @@ def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkRes
 
 def build_coin(construction: str, field: CoinField, truncation: int | None = None) -> Circuit:
     """The naive, linear or walsh coin circuit for ``field``; ``truncation``
-    is the Walsh series order (``None``: the full series)."""
+    is the Walsh series order (``None``: the full series), ``ValueError``
+    outside ``[0, n]``."""
     if construction == "naive":
         return naive_mod.build_naive(field)
     if construction == "linear":
         return linear_mod.build_linear(field)
+    if truncation is not None and not 0 <= truncation <= field.n:
+        raise ValueError(f"truncation={truncation} is not in [0, {field.n}]")
     return walsh_mod.build_walsh_coin(field, m=truncation)
 
 
 def _probe(circuit: Circuit) -> np.ndarray:
     """A seeded complex Gaussian vector over a walk-layout circuit's wires."""
     q = circuit.num_wires
-    if q > statevec.dense_limit():
+    if q > statevec.DENSE_QUBITS_MAX:
         raise ToolkitError("dense-limit-exceeded", f"a probe on {q} qubits is over the dense cap")
     rng = np.random.default_rng(_PROBE_SEED)
     return rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
@@ -254,7 +257,7 @@ def _coin_array(config: WalkConfig) -> np.ndarray:
 def run(config: WalkConfig) -> WalkResult:
     """Evolve per step as coin then shift; exact marginals, optional sampling."""
     n = config.n
-    if n + 1 > statevec.dense_limit():
+    if n + 1 > statevec.DENSE_QUBITS_MAX:
         raise ToolkitError("dense-limit-exceeded", f"walk layout for n={n} is over the cap")
     shift_circuit = shift_mod.build_shift(config.shift_scheme, n)
     vec = initial_state(config)

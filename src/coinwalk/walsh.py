@@ -16,7 +16,7 @@ support.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -31,12 +31,7 @@ __all__ = [
     "build_walsh",
     "build_walsh_coin",
     "derivative_sup_estimate",
-    "function_from_spec",
     "gray_code_optimize",
-    "gray_walsh_gates",
-    "series_from_json",
-    "series_to_json",
-    "smoothness_check",
     "truncate",
     "truncation_error_bound",
     "unwrap_angles",
@@ -87,7 +82,6 @@ class WalshSeries:
 
     n: int
     coefficients: np.ndarray
-    samples: np.ndarray | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)
@@ -129,7 +123,7 @@ def walsh_coefficients(samples) -> WalshSeries:
         )
     n = values.size.bit_length() - 1
     coeffs = _fwht(values.copy()) / values.size
-    return WalshSeries(n, coeffs, samples=values)
+    return WalshSeries(n, coeffs)
 
 
 def truncate(series: WalshSeries, m: int) -> WalshSeries:
@@ -138,7 +132,7 @@ def truncate(series: WalshSeries, m: int) -> WalshSeries:
         raise ToolkitError("index-out-of-range", f"truncation order {m} not in [0, {series.n}]")
     coeffs = series.coefficients.copy()
     coeffs[1 << m :] = 0.0
-    return WalshSeries(series.n, coeffs, samples=series.samples)
+    return WalshSeries(series.n, coeffs)
 
 
 def truncation_error_bound(f_prime_sup: float, m: int) -> float:
@@ -146,18 +140,6 @@ def truncation_error_bound(f_prime_sup: float, m: int) -> float:
     if f_prime_sup < 0:
         raise ValueError("derivative bound must be nonnegative")
     return f_prime_sup / (1 << m)
-
-
-def smoothness_check(f_prime_sup: float, epsilon: float, n: int) -> str:
-    """Whether a 1/epsilon-size truncated circuit can reach accuracy epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    scale = epsilon * (1 << n)
-    if f_prime_sup <= scale / 8:
-        return "efficient"
-    if f_prime_sup >= scale:
-        return "fails"
-    return "marginal"
 
 
 def derivative_sup_estimate(samples) -> float:
@@ -191,33 +173,6 @@ def unwrap_angles(values: np.ndarray, n: int) -> np.ndarray:
     out = np.empty_like(values)
     out[order] = unwrapped
     return out
-
-
-def function_from_spec(spec: dict, n: int) -> np.ndarray:
-    """Dyadic samples for a CLI function spec: harmonic, linear, or literal samples."""
-    kind = spec.get("kind")
-    xs = np.array([dyadic_coordinate(k, n) for k in range(1 << n)])
-    if kind == "harmonic":
-        v0 = float(spec["V0"])
-        return v0 * (xs - 0.5) ** 2
-    if kind == "linear":
-        return float(spec["a"]) * xs
-    if kind == "samples":
-        values = np.asarray(spec["values"], dtype=float)
-        if values.size != 1 << n:
-            raise ToolkitError(
-                "bad-sample-count", f"expected {1 << n} samples, got {values.size}"
-            )
-        return values
-    raise ValueError(f"unknown function spec kind {kind!r}")
-
-
-def series_to_json(series: WalshSeries) -> dict:
-    return {"n": series.n, "coefficients": [float(a) for a in series.coefficients]}
-
-
-def series_from_json(data: dict) -> WalshSeries:
-    return WalshSeries(int(data["n"]), np.asarray(data["coefficients"], dtype=float))
 
 
 # -- circuit emission ----------------------------------------------------------
@@ -272,6 +227,14 @@ def _cancel_common_target_runs(specs: list[tuple]) -> list[tuple]:
 
 
 def _gray_specs(regs: RegisterMap, sigma: str, ordered_terms) -> list[tuple]:
+    """Merged emission of the given terms, consecutive parity sets shared.
+
+    For sigma != I every term folds its whole parity set onto the coin wire
+    (the entanglers commute pairwise), so adjacent terms only pay for the
+    symmetric difference of their index supports.  For sigma = I the
+    per-term ladders are emitted and then reduced by the common-target
+    cancellation pass.
+    """
     if sigma == "i":
         return _cancel_common_target_runs(_product_specs(regs, sigma, ordered_terms))
     coin = regs.coin()
@@ -336,20 +299,6 @@ def walsh_product_gates(
 ) -> list[GateInstance]:
     """Fragment-per-term gate list, in the given term order (builder canonical form)."""
     return _gates(_product_specs(regs, _sigma_key(sigma), terms))
-
-
-def gray_walsh_gates(
-    regs: RegisterMap, sigma: str, ordered_terms: list[tuple[int, float]]
-) -> list[GateInstance]:
-    """Merged emission of the given terms, consecutive parity sets shared.
-
-    For sigma != I every term folds its whole parity set onto the coin wire
-    (the entanglers commute pairwise), so adjacent terms only pay for the
-    symmetric difference of their index supports.  For sigma = I the
-    per-term ladders are emitted and then reduced by the common-target
-    cancellation pass.
-    """
-    return _gates(_gray_specs(regs, _sigma_key(sigma), list(ordered_terms)))
 
 
 def _phase_of(sigma: str, terms) -> float:

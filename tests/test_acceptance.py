@@ -42,7 +42,6 @@ from coinwalk import (
     random_field,
     run as run_walk,
     shift_permutation_matrix,
-    spectral_norm_diff,
     total_coin_matrix,
     truncate,
     walsh_coefficients,
@@ -245,7 +244,7 @@ def test_criterion_5_walsh_exactness_and_truncation(report):
     margins = []
     for m in range(1, 7):
         cut = unitary_with_phase(build_walsh(truncate(series, m), "z"))
-        err = spectral_norm_diff(cut, reference)
+        err = np.linalg.norm(cut - reference, 2)
         bound = v0 / (1 << m)
         bound_ok &= err <= bound
         margins.append(f"m={m}:{err:.2f}<={bound:.2f}")

@@ -160,6 +160,16 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("truncation", [-2, -1, 3, 100])
+def test_build_with_a_truncation_outside_0_to_n_exits_2(tmp_path, coin_spec, capsys, truncation):
+    out = tmp_path / "walsh.json"
+    argv = ["build", "--construction", "walsh", "--coin", coin_spec, "--out", str(out)]
+    assert main(argv + ["--truncation", str(truncation)]) == 2
+    assert f"truncation={truncation} is not in [0, 2]" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--truncation", "2"]) == 0
+
+
 def test_broken_coin_spec_maps_to_toolkit_error(tmp_path, capsys):
     spec = json.loads(coin_field_to_json(random_field(1, seed=0)))
     spec["coins"][0][0] = [9.0, 0.0]  # breaks unitarity
@@ -186,10 +196,9 @@ def test_bad_circuit_json_is_a_usage_error(tmp_path, capsys, edit):
     assert "error" in capsys.readouterr().err
 
 
-def test_shift_verify_past_the_matrix_budget_exits_0(capsys, monkeypatch, no_large_matrices):
-    # n=13 is 14 wires, inside the default qubit cap; a 2^14-square matrix
-    # would take 4 GiB, and the probe needs none.
-    monkeypatch.delenv("QWALK_DENSE_LIMIT", raising=False)
+def test_shift_verify_past_the_matrix_budget_exits_0(capsys, no_large_matrices):
+    # n=13 is 14 wires, inside the qubit cap; a 2^14-square matrix would
+    # take 4 GiB, and the probe needs none.
     rc = main(["shift", "--scheme", "qft", "--n", "13", "--verify"])
     assert rc == 0
     assert "max deviation vs permutation oracle" in capsys.readouterr().out

@@ -239,17 +239,6 @@ def test_coin_blocks_check_the_byte_budget_before_allocating(monkeypatch, n, ref
         assert err.value.code == "dense-limit-exceeded"
 
 
-def test_serial_and_parallel_q1_agree_on_the_working_subspace():
-    # Full matrices may differ off the zero-ancilla slice; the columns the
-    # walk actually uses must match exactly.
-    field = random_field(2, seed=3)
-    a = circuit_unitary(build_linear(field, parallel=True))
-    b = circuit_unitary(build_linear(field, parallel=False))
-    regs = build_linear(field).registers
-    cols = [regs.embed(k, c) for k in range(4) for c in (0, 1)]
-    assert np.max(np.abs(a[:, cols] - b[:, cols])) <= 1e-10
-
-
 def test_predicted_depth_closed_form():
     assert [predicted_depth(n) for n in range(1, 6)] == [15, 33, 53, 73, 93]
 

@@ -184,6 +184,21 @@ def test_cli_n_over_the_bound_exits_2(tmp_path, monkeypatch, capsys, argv):
     assert "largest a document may name" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", [-1, 0])
+@pytest.mark.parametrize("command", ["verify", "shift", "coin-document"])
+def test_cli_n_under_1_exits_2(tmp_path, capsys, command, n):
+    spec = tmp_path / "field.json"
+    spec.write_text(json.dumps({"n": n, "coins": []}))
+    argv = {
+        "verify": ["verify", "--construction", "naive", "--n", str(n)],
+        "shift": ["shift", "--scheme", "id", "--n", str(n)],
+        "coin-document": ["build", "--construction", "naive", "--coin", str(spec),
+                          "--out", str(tmp_path / "c.json")],
+    }[command]
+    assert main(argv) == 2
+    assert f"n={n} is under 1" in capsys.readouterr().err
+
+
 def walk_config_doc():
     return json.loads(json.dumps(config_to_json(WalkConfig(
         1, 2, random_field(1, seed=0), coin_builder="walsh", truncation=1,
@@ -206,6 +221,9 @@ def walk_config_doc():
         pytest.param(("initial", "coin", 0), [0.6], id="short-amplitude-pair"),
         pytest.param(("initial", "coin", 1), {"re": 0.8}, id="object-amplitude"),
         pytest.param(("shots",), 10**30, id="shots-over-int64"),
+        pytest.param(("truncation",), -1, id="negative-truncation"),
+        pytest.param(("truncation",), 2, id="truncation-over-n"),
+        pytest.param(("truncation",), 100, id="truncation-100"),
     ],
 )
 def test_malformed_walk_config_exits_2(tmp_path, capsys, path, value):

@@ -11,6 +11,7 @@ from coinwalk import (
     predicted_cost,
     shift_permutation_matrix,
 )
+from coinwalk import statevec
 from coinwalk.shift import omega_phase_gates, qft_gates
 
 
@@ -29,7 +30,7 @@ def test_permutation_matrix_moves_each_coin_branch():
 
 
 def test_permutation_matrix_respects_dense_cap(monkeypatch):
-    monkeypatch.setenv("QWALK_DENSE_LIMIT", "3")
+    monkeypatch.setattr(statevec, "DENSE_QUBITS_MAX", 3)
     with pytest.raises(ToolkitError) as err:
         shift_permutation_matrix(3)
     assert err.value.code == "dense-limit-exceeded"

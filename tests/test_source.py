@@ -1,7 +1,10 @@
 """Checks on the library source itself."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import coinwalk
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coinwalk"
 
@@ -30,3 +33,27 @@ def test_library_imports_only_at_module_level():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert not found, f"function-level imports in the library: {', '.join(found)}"
+
+
+def test_every_export_exists_and_the_package_exports_what_it_imports():
+    # A removed name must leave no entry behind in any ``__all__``.
+    modules = [coinwalk] + [
+        importlib.import_module(f"coinwalk.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in module.__all__
+        if not hasattr(module, name)
+    ]
+    assert not missing, f"exported but undefined: {', '.join(missing)}"
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(coinwalk.__all__) == sorted(imported)

@@ -12,14 +12,13 @@ from coinwalk import (
     apply_circuit,
     apply_gate,
     circuit_unitary,
-    dense_limit,
     full_unitary,
     identity_field,
     shift_permutation_matrix,
-    spectral_norm_diff,
     total_coin_matrix,
 )
-from coinwalk.statevec import MATRIX_BYTES_MAX, is_unitary
+from coinwalk import statevec
+from coinwalk.statevec import DENSE_QUBITS_MAX, MATRIX_BYTES_MAX, is_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -129,7 +128,6 @@ def test_sparse_and_dense_agree_on_random_programs(data):
         controls = wires[arity:arity + n_controls]
         dense = apply_gate(dense, gate, targets, controls)
         sparse = sparse.apply_gate(gate, targets, controls)
-        assert len(sparse.amplitudes) == sparse.support()
     assert np.max(np.abs(sparse.to_dense() - dense)) < 1e-10
     assert dict(sparse.amplitudes) == {
         int(i): a for i, a in enumerate(sparse.to_dense()) if a != 0
@@ -139,14 +137,14 @@ def test_sparse_and_dense_agree_on_random_programs(data):
 def test_sparse_state_over_64_wires_round_trips_its_indices():
     want = {(1 << 69) | 5: 0.6, 1 << 65: 0.8j, 3: 0.0}
     s = SparseState(70, want)
-    assert len(s.amplitudes) == s.support() == 2
+    assert len(s.amplitudes) == 2
     assert dict(s.amplitudes) == {(1 << 69) | 5: 0.6, 1 << 65: 0.8j}
     # monomial: x on wire 67, cnot 69 -> 0, swap 65 <-> 66
     s = s.apply_gate(X, (67,)).apply_gate(X, (0,), (69,)).apply_gate(SWAP, (65, 66))
     assert dict(s.amplitudes) == {(1 << 69) | (1 << 67) | 4: 0.6, (1 << 67) | (1 << 66): 0.8j}
     # branching: H on wire 68 twice merges back onto the same two indices
     s = s.apply_gate(H, (68,))
-    assert s.support() == 4 and len(s.amplitudes) == 4
+    assert len(s.amplitudes) == 4
     s = s.apply_gate(H, (68,))
     assert set(s.amplitudes) == {(1 << 69) | (1 << 67) | 4, (1 << 67) | (1 << 66)}
     assert s.amplitude((1 << 69) | (1 << 67) | 4) == pytest.approx(0.6, abs=1e-15)
@@ -185,12 +183,12 @@ def test_sparse_matches_dense_on_non_unitary_matrices(gate):
 
 def test_sparse_prunes_vanished_amplitudes():
     s = SparseState.from_basis(1, 0).apply_gate(H, (0,)).apply_gate(H, (0,))
-    assert s.support() == 1 == len(s.amplitudes)
+    assert len(s.amplitudes) == 1
     assert s.amplitude(0) == pytest.approx(1.0)
     assert s.amplitude(1) == 0
     # a monomial gate that scales an amplitude under the tolerance drops it
     tiny = np.diag([1e-15, 1]).astype(complex)
-    assert SparseState.from_basis(1, 0).apply_gate(tiny, (0,)).support() == 0
+    assert len(SparseState.from_basis(1, 0).apply_gate(tiny, (0,)).amplitudes) == 0
 
 
 def test_apply_circuit_and_unitary_agree():
@@ -237,38 +235,16 @@ def test_full_unitary_applies_tracked_phase():
 
 
 def test_circuit_unitary_respects_dense_cap(monkeypatch):
-    monkeypatch.setenv("QWALK_DENSE_LIMIT", "2")
-    assert dense_limit() == 2
+    monkeypatch.setattr(statevec, "DENSE_QUBITS_MAX", 2)
     regs = RegisterMap.walk(2)
     with pytest.raises(ToolkitError) as err:
         circuit_unitary(Circuit(regs, [], {}))
     assert err.value.code == "dense-limit-exceeded"
 
 
-@pytest.mark.parametrize("dim", [2, 4, 8, 16])
-def test_spectral_norm_matches_svd(dim):
-    # power iteration cross-checked against the numpy 2-norm
-    rng = np.random.default_rng(dim)
-    a = random_unitary(dim, 21)
-    b = random_unitary(dim, 22)
-    want = np.linalg.norm(a - b, ord=2)
-    got = spectral_norm_diff(a, b)
-    assert got == pytest.approx(want, rel=1e-6)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    assert spectral_norm_diff(m, np.zeros_like(m)) == pytest.approx(
-        np.linalg.norm(m, ord=2), rel=1e-6
-    )
-
-
-def test_spectral_norm_of_equal_matrices_is_zero():
-    u = random_unitary(8, 3)
-    assert spectral_norm_diff(u, u) <= 1e-12
-
-
-def test_square_matrices_over_the_byte_budget_are_refused(no_large_matrices, monkeypatch):
-    # 14 qubits pass the default qubit cap; the 2^14-square matrix is 4 GiB.
-    monkeypatch.delenv("QWALK_DENSE_LIMIT", raising=False)
-    assert dense_limit() == 14 and MATRIX_BYTES_MAX == 16 << 26
+def test_square_matrices_over_the_byte_budget_are_refused(no_large_matrices):
+    # 14 qubits pass the qubit cap; the 2^14-square matrix is 4 GiB.
+    assert DENSE_QUBITS_MAX == 14 and MATRIX_BYTES_MAX == 16 << 26
     builds = [
         lambda: circuit_unitary(Circuit(RegisterMap.walk(13), [], {})),
         lambda: shift_permutation_matrix(13),

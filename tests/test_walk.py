@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import coinwalk.walk as walk_module
+from coinwalk import statevec
 from coinwalk import (
     GateInstance,
     ToolkitError,
@@ -67,7 +68,7 @@ def test_oracle_history_tracks_every_step():
 
 
 def test_oracle_respects_dense_cap(monkeypatch):
-    monkeypatch.setenv("QWALK_DENSE_LIMIT", "3")
+    monkeypatch.setattr(statevec, "DENSE_QUBITS_MAX", 3)
     config = WalkConfig(3, 1, random_field(3, seed=1))
     with pytest.raises(ToolkitError) as err:
         oracle(config)
@@ -110,7 +111,7 @@ def test_collapse_reads_a_linear_circuit_through_coin_blocks():
 
 
 def test_probes_refuse_a_walk_layout_over_the_dense_cap(monkeypatch, no_large_matrices):
-    monkeypatch.setenv("QWALK_DENSE_LIMIT", "3")
+    monkeypatch.setattr(statevec, "DENSE_QUBITS_MAX", 3)
     for check, circuit in (
         (walk_module.collapse, build_naive(random_field(3, seed=9))),
         (walk_module.shift_deviation, build_shift_qft(3)),

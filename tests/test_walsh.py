@@ -1,7 +1,5 @@
 """Walsh series: transform, truncation, and exponential circuit emission."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,15 +18,9 @@ from coinwalk import (
     derivative_sup_estimate,
     dirac_field,
     dyadic_coordinate,
-    function_from_spec,
     gate_counts,
     gray_code_optimize,
-    gray_walsh_gates,
     random_field,
-    series_from_json,
-    series_to_json,
-    smoothness_check,
-    spectral_norm_diff,
     total_coin_matrix,
     truncate,
     truncation_error_bound,
@@ -172,32 +164,23 @@ def test_truncation_error_bound_value():
 def test_truncated_samples_within_bound():
     # Quadratic well V0 (x - 1/2)^2 has derivative sup exactly V0 on [0, 1].
     n, v0 = 6, 3.0
-    samples = function_from_spec({"kind": "harmonic", "V0": v0}, n)
+    samples = v0 * (np.array([dyadic_coordinate(k, n) for k in range(1 << n)]) - 0.5) ** 2
     series = walsh_coefficients(samples)
     for m in range(0, n + 1):
         approx = truncate(series, m).reconstruct()
         assert np.max(np.abs(approx - samples)) <= truncation_error_bound(v0, m) + 1e-12
 
 
-def test_smoothness_check_verdicts():
-    # scale = eps * 2^n; efficient below scale/8, fails at or above scale.
-    assert smoothness_check(0.5, 1e-2, 10) == "efficient"
-    assert smoothness_check(11.0, 1e-2, 10) == "fails"
-    assert smoothness_check(3.0, 1e-2, 10) == "marginal"
-    with pytest.raises(ValueError):
-        smoothness_check(1.0, 0.0, 4)
-
-
 def test_derivative_estimate_exact_on_linear():
     n, slope = 5, 2.25
-    samples = function_from_spec({"kind": "linear", "a": slope}, n)
+    samples = slope * np.array([dyadic_coordinate(k, n) for k in range(1 << n)])
     assert derivative_sup_estimate(samples) == pytest.approx(slope)
     assert derivative_sup_estimate(np.full(8, 1.3)) == 0.0
 
 
 def test_unwrap_removes_branch_jumps():
     n = 5
-    smooth = function_from_spec({"kind": "linear", "a": 9.0}, n) - 2.0
+    smooth = 9.0 * np.array([dyadic_coordinate(k, n) for k in range(1 << n)]) - 2.0
     wrapped = np.angle(np.exp(1j * smooth))
     fixed = unwrap_angles(wrapped, n)
     # Same exponentials, and the recovered values differ from the smooth
@@ -292,7 +275,7 @@ def test_gray_pass_kept_only_on_strict_gain():
 def test_gray_order_follows_given_terms():
     # Entanglers between consecutive rotations toggle the support difference.
     regs = RegisterMap.walk(2)
-    gates = gray_walsh_gates(regs, "z", [(1, 0.1), (3, 0.2), (2, 0.3)])
+    gates = walsh._gates(walsh._gray_specs(regs, "z", [(1, 0.1), (3, 0.2), (2, 0.3)]))
     kinds = [g.kind for g in gates]
     assert kinds == ["cnot", "rz", "cnot", "rz", "cnot", "rz", "cnot"]
 
@@ -335,7 +318,7 @@ def test_chooser_closed_forms_count_the_emitted_entanglers(sigma):
             product = walsh_product_gates(regs, sigma, terms)
             assert walsh._product_entanglers(sigma, terms) == entanglers(product)
             if sigma != "i":
-                gray = gray_walsh_gates(regs, sigma, ordered)
+                gray = walsh._gates(walsh._gray_specs(regs, sigma, ordered))
                 assert walsh._gray_entanglers(ordered) == entanglers(gray)
 
 
@@ -383,13 +366,13 @@ def test_truncated_coin_circuit_spectral_error():
     full = unitary_with_phase(build_walsh_coin(field))
     for m in range(0, n + 1):
         cut = unitary_with_phase(build_walsh_coin(field, m=m))
-        err = spectral_norm_diff(cut, full)
+        err = np.linalg.norm(cut - full, 2)
         budget = sum(
             np.max(np.abs(truncate(s, m).reconstruct() - s.reconstruct()))
             for s in series
         )
         assert err <= budget + 1e-9
-    assert spectral_norm_diff(unitary_with_phase(build_walsh_coin(field, m=n)), full) <= 1e-9
+    assert np.linalg.norm(unitary_with_phase(build_walsh_coin(field, m=n)) - full, 2) <= 1e-9
 
 
 def test_truncation_metadata_recorded():
@@ -423,33 +406,3 @@ def test_linear_phase_agrees_with_series_route():
     direct = circuit_unitary(build_linear_phase(a, sigma, n))
     series = circuit_unitary(build_walsh(walsh_coefficients(samples), sigma))
     assert np.max(np.abs(direct - series)) <= 1e-10
-
-
-# -- serialization and CLI specs -------------------------------------------
-
-
-def test_series_json_round_trip():
-    series = walsh_coefficients(smooth_samples(3, seed=2))
-    data = json.loads(json.dumps(series_to_json(series)))
-    back = series_from_json(data)
-    assert back.n == series.n
-    assert np.allclose(back.coefficients, series.coefficients, atol=0)
-    assert np.allclose(back.reconstruct(), series.reconstruct(), atol=1e-12)
-
-
-def test_function_specs():
-    n = 3
-    xs = np.array([dyadic_coordinate(k, n) for k in range(1 << n)])
-    well = function_from_spec({"kind": "harmonic", "V0": 5.0}, n)
-    assert np.allclose(well, 5.0 * (xs - 0.5) ** 2)
-    ramp = function_from_spec({"kind": "linear", "a": -2.0}, n)
-    assert np.allclose(ramp, -2.0 * xs)
-    values = list(range(8))
-    assert np.array_equal(
-        function_from_spec({"kind": "samples", "values": values}, n), values
-    )
-    with pytest.raises(ToolkitError) as err:
-        function_from_spec({"kind": "samples", "values": [1.0, 2.0]}, n)
-    assert err.value.code == "bad-sample-count"
-    with pytest.raises(ValueError):
-        function_from_spec({"kind": "spline"}, n)
