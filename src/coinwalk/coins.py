@@ -197,11 +197,9 @@ def dirac_field(
 
 
 def coin_field_to_json(field: CoinField) -> str:
-    coins = [
-        [[float(z.real), float(z.imag)] for z in coin.reshape(4)]
-        for coin in field.coins
-    ]
-    return json.dumps({"n": field.n, "coins": coins}, indent=1)
+    """The explicit form, compact: each coin is four ``[re, im]`` pairs, row-major."""
+    coins = np.stack([field.coins.real, field.coins.imag], axis=-1).reshape(-1, 4, 2).tolist()
+    return json.dumps({"n": field.n, "coins": coins})
 
 
 def coin_field_from_json(source: str | dict) -> CoinField:

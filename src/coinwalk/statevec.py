@@ -8,7 +8,8 @@ the gate's own :math:`2^m \\times 2^m` matrix.  Control wires condition on
 
 Dense objects are plain ``numpy`` complex arrays; the cap on dense work is
 ``2**DENSE_QUBITS_MAX`` amplitudes per axis, and a square matrix must also
-fit in :data:`MATRIX_BYTES_MAX`.
+fit in :data:`MATRIX_BYTES_MAX`.  Every circuit gate kind updates strided
+slices of a dense array in place, with no ``tensordot`` (see ``_apply_matrix_inplace``).
 
 A :class:`SparseState` keeps only its nonzero amplitudes, as arrays: one bit
 row per amplitude and a complex vector beside them, so it runs a batch of
@@ -46,6 +47,8 @@ ATOL_UNITARY = 1e-10
 ATOL_NORM = 1e-10
 ATOL_ENTRY = 1e-12
 PRUNE_TOL = 1e-14
+
+_SWAP_ROWS = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
 
 #: Largest qubit count of a dense vector, and of each axis of a dense matrix.
 DENSE_QUBITS_MAX = 14
@@ -114,15 +117,57 @@ def _apply_matrix_inplace(arr, mat, targets, controls, num_qubits):
     """Apply a (controlled) gate to axis 0 of a dense array, in place.
 
     Axis 0 is viewed as one axis per wire (wire ``w`` at axis
-    ``num_qubits - 1 - w``), which is a view whatever the array's strides;
-    the target axes move to the front, each control axis is fixed at 1, and
-    the gate contracts the target axes.
+    ``num_qubits - 1 - w``), which is a view whatever the array's strides.
+    A slice fixes each control axis at 1 and each target axis at 0 or 1;
+    its trailing ``Ellipsis`` keeps it a view even when no axis is left.
+    The matrix entries, compared exactly, choose the path:
+
+    - one target, diagonal: scale each slice in place, skipping a factor 1;
+    - one target, exactly X: swap the two slices;
+    - one target, any other 2x2: mix the two slices, copying one;
+    - two targets, exactly SWAP: exchange the ``|01>`` and ``|10>`` slices;
+    - anything else (an explicit multi-target matrix): move the target axes
+      to the front and ``tensordot`` them.
     """
     view = arr.reshape((2,) * num_qubits + arr.shape[1:])
-    wires = [num_qubits - 1 - w for w in tuple(targets) + tuple(controls)]
-    m = len(targets)
-    block = np.moveaxis(view, wires, range(len(wires)))[(slice(None),) * m + (1,) * len(controls)]
-    block[...] = np.tensordot(mat.reshape((2,) * 2 * m), block, axes=(range(m, 2 * m), range(m)))
+    index = [slice(None)] * num_qubits + [Ellipsis]
+    for w in controls:
+        index[num_qubits - 1 - w] = 1
+    axes = [num_qubits - 1 - t for t in targets]
+    if len(targets) == 1:
+        (a, b), (c, d) = mat.tolist()
+        index[axes[0]] = 0
+        s0 = view[tuple(index)]
+        index[axes[0]] = 1
+        s1 = view[tuple(index)]
+        if b == 0 and c == 0:
+            if a != 1:
+                s0 *= a
+            if d != 1:
+                s1 *= d
+            return arr
+        if not (a == 0 and d == 0 and b == 1 and c == 1):
+            old0 = s0.copy()
+            s0 *= a
+            s0 += b * s1
+            s1 *= d
+            old0 *= c
+            s1 += old0
+            return arr
+    elif len(targets) == 2 and mat.tolist() == _SWAP_ROWS:
+        index[axes[0]], index[axes[1]] = 0, 1
+        s0 = view[tuple(index)]
+        index[axes[0]], index[axes[1]] = 1, 0
+        s1 = view[tuple(index)]
+    else:
+        m = len(targets)
+        wires = axes + [num_qubits - 1 - w for w in controls]
+        block = np.moveaxis(view, wires, range(len(wires)))[(slice(None),) * m + (1,) * len(controls)]
+        block[...] = np.tensordot(mat.reshape((2,) * 2 * m), block, axes=(range(m, 2 * m), range(m)))
+        return arr
+    old0 = s0.copy()  # an exact X or SWAP: exchange the two slices
+    s0[...] = s1
+    s1[...] = old0
     return arr
 
 

@@ -83,6 +83,7 @@ class WalkConfig:
             raise ValueError("shots must be between 1 and 2**63 - 1 when sampling")
         if self.field.n != self.n:
             raise ValueError("coin field size does not match n")
+        _check_truncation(self.coin_builder, self.truncation, self.n)
 
 
 @dataclass(frozen=True)
@@ -182,16 +183,25 @@ def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkRes
     return WalkResult(Distribution(history[-1]), vec, history)
 
 
+def _check_truncation(construction: str, truncation: int | None, n: int) -> None:
+    """``ValueError`` unless ``truncation`` is ``None`` or a Walsh order in ``[0, n]``."""
+    if truncation is None:
+        return
+    if construction != "walsh":
+        raise ValueError(f"truncation={truncation} applies only to walsh, not {construction}")
+    if not 0 <= truncation <= n:
+        raise ValueError(f"truncation={truncation} is not in [0, {n}]")
+
+
 def build_coin(construction: str, field: CoinField, truncation: int | None = None) -> Circuit:
     """The naive, linear or walsh coin circuit for ``field``; ``truncation``
     is the Walsh series order (``None``: the full series), ``ValueError``
-    outside ``[0, n]``."""
+    outside ``[0, n]`` or for another construction."""
+    _check_truncation(construction, truncation, field.n)
     if construction == "naive":
         return naive_mod.build_naive(field)
     if construction == "linear":
         return linear_mod.build_linear(field)
-    if truncation is not None and not 0 <= truncation <= field.n:
-        raise ValueError(f"truncation={truncation} is not in [0, {field.n}]")
     return walsh_mod.build_walsh_coin(field, m=truncation)
 
 

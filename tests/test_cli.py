@@ -170,6 +170,19 @@ def test_build_with_a_truncation_outside_0_to_n_exits_2(tmp_path, coin_spec, cap
     assert main(argv + ["--truncation", "2"]) == 0
 
 
+@pytest.mark.parametrize("construction", ["naive", "linear"])
+@pytest.mark.parametrize("truncation", [0, 2, 100])
+def test_build_with_a_truncation_for_a_non_walsh_construction_exits_2(
+        tmp_path, coin_spec, capsys, construction, truncation):
+    out = tmp_path / f"{construction}.json"
+    argv = ["build", "--construction", construction, "--coin", coin_spec, "--out", str(out)]
+    assert main(argv + ["--truncation", str(truncation)]) == 2
+    assert f"truncation={truncation} applies only to walsh, not {construction}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+    assert main(argv) == 0
+
+
 def test_broken_coin_spec_maps_to_toolkit_error(tmp_path, capsys):
     spec = json.loads(coin_field_to_json(random_field(1, seed=0)))
     spec["coins"][0][0] = [9.0, 0.0]  # breaks unitarity

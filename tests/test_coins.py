@@ -153,7 +153,7 @@ def test_json_round_trip_explicit():
     field = random_field(2, seed=3)
     back = coin_field_from_json(coin_field_to_json(field))
     assert back.n == 2
-    assert np.max(np.abs(back.coins - field.coins)) < 1e-15
+    assert np.array_equal(back.coins, field.coins)
 
 
 def test_json_parametric_forms():

@@ -209,6 +209,9 @@ def walk_config_doc():
 @pytest.mark.parametrize(
     "path,value",
     [
+        pytest.param(("coin_builder",), "naive", id="truncation-for-naive"),
+        pytest.param(("coin_builder",), "linear", id="truncation-for-linear"),
+        pytest.param(("coin_builder",), "dense-oracle", id="truncation-for-dense-oracle"),
         pytest.param(("truncation",), "1", id="string-truncation"),
         pytest.param(("shots",), "8", id="string-shots"),
         pytest.param(("steps",), [2], id="list-steps"),
@@ -230,7 +233,10 @@ def test_malformed_walk_config_exits_2(tmp_path, capsys, path, value):
     config = tmp_path / "walk.json"
     config.write_text(json.dumps(edited(walk_config_doc(), path, value)))
     assert main(["walk", "--config", str(config), "--out", str(tmp_path / "out.json")]) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    if path == ("coin_builder",):
+        assert f"truncation=1 applies only to walsh, not {value}" in err
 
 
 @pytest.mark.parametrize("key", ["position", "coin"])

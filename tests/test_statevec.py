@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from coinwalk import (
     total_coin_matrix,
 )
 from coinwalk import statevec
+from coinwalk.circuit import GATE_KINDS
 from coinwalk.statevec import DENSE_QUBITS_MAX, MATRIX_BYTES_MAX, is_unitary
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -259,3 +262,148 @@ def test_square_matrices_over_the_byte_budget_are_refused(no_large_matrices):
 def test_is_unitary_helper():
     assert is_unitary(random_unitary(4, 1))
     assert not is_unitary(np.ones((2, 2), dtype=complex))
+
+
+# -- the dense kernel's paths -------------------------------------------------
+
+def fewest_controls(kind):
+    n_ctl = GATE_KINDS[kind][0]
+    return 1 if n_ctl is None else n_ctl
+
+
+def kind_matrix(kind, rng, shape="random"):
+    """The target matrix of a ``kind`` gate; an explicit matrix is random,
+    diagonal or exactly X, as ``shape`` says."""
+    payload = GATE_KINDS[kind][2]
+    if payload == "matrix":
+        return {
+            "random": random_unitary(2, int(rng.integers(1 << 30))),
+            "diagonal": np.diag(np.exp(1j * rng.uniform(-3, 3, 2))),
+            "x": X,
+        }[shape]
+    n_ctl = fewest_controls(kind)
+    wires = range(n_ctl + GATE_KINDS[kind][1])
+    angle = float(rng.uniform(-7, 7)) if payload == "angle" else None
+    return GateInstance(kind, wires[:n_ctl], wires[n_ctl:], angle).matrix_on_targets()
+
+
+def full_matrix(mat, targets, controls, num_qubits):
+    """The gate on every wire, by index arithmetic: column ``i`` is the image of ``|i>``."""
+    dim = 1 << num_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        if not all(i >> c & 1 for c in controls):
+            out[i, i] = 1
+            continue
+        col = 0
+        for t in targets:  # targets[0] is the most significant gate bit
+            col = col << 1 | (i >> t & 1)
+        for row in range(len(mat)):
+            j = i
+            for k, t in enumerate(reversed(targets)):
+                j = (j & ~(1 << t)) | ((row >> k & 1) << t)
+            out[j, i] += mat[row, col]
+    return out
+
+
+def kernel_cases():
+    for kind, (_, n_tgt, payload) in GATE_KINDS.items():
+        for num_qubits in range(fewest_controls(kind) + n_tgt, 4):
+            for shape in ("random", "diagonal", "x") if payload == "matrix" else ("random",):
+                yield pytest.param(kind, num_qubits, shape, id=f"{kind}-{shape}-{num_qubits}")
+
+
+@pytest.mark.parametrize("kind,num_qubits,shape", kernel_cases())
+def test_every_kind_matches_its_full_matrix_on_small_vectors(kind, num_qubits, shape):
+    # 1-D vectors where the controls and targets take every axis leave 0-d slices.
+    mat = kind_matrix(kind, np.random.default_rng(num_qubits), shape)
+    n_ctl = fewest_controls(kind)
+    for wires in itertools.permutations(range(num_qubits), n_ctl + GATE_KINDS[kind][1]):
+        controls, targets = wires[:n_ctl], wires[n_ctl:]
+        want = full_matrix(mat, targets, controls, num_qubits)
+        got = np.stack([apply_gate(basis(num_qubits, i), mat, targets, controls)
+                        for i in range(1 << num_qubits)], axis=1)
+        assert np.array_equal(got, want), (controls, targets)
+
+
+def tensordot_reference(circ, z):
+    """``z`` after every gate of ``circ``, each through a fresh array and one ``tensordot``."""
+    q = circ.num_wires
+    for g in circ.gates:
+        out = np.array(z).reshape((2,) * q + z.shape[1:])
+        m = len(g.targets)
+        wires = [q - 1 - w for w in g.targets + g.controls]
+        block = np.moveaxis(out, wires, range(len(wires)))[(slice(None),) * m + (1,) * len(g.controls)]
+        block[...] = np.tensordot(g.matrix_on_targets().reshape((2,) * 2 * m), block.copy(),
+                                  axes=(range(m, 2 * m), range(m)))
+        z = out.reshape(z.shape)
+    return z
+
+
+def random_gates(rng, count, num_qubits, kinds):
+    gates = []
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        n_ctl, n_tgt, payload = GATE_KINDS[kind]
+        if n_ctl is None:
+            n_ctl = int(rng.integers(1, 4))
+        wires = [int(w) for w in rng.permutation(num_qubits)[:n_ctl + n_tgt]]
+        angle = float(rng.uniform(-7, 7)) if payload == "angle" else None
+        matrix = None
+        if payload == "matrix":
+            matrix = kind_matrix(kind, rng, ("random", "diagonal", "x")[int(rng.integers(3))])
+        gates.append(GateInstance(kind, wires[:n_ctl], wires[n_ctl:], angle, matrix))
+    return gates
+
+
+def strided_inputs(rng, num_qubits):
+    """A vector and a 3-column block, each C-ordered, Fortran-ordered and sliced."""
+    dim = 1 << num_qubits
+    data = rng.normal(size=(2 * dim, 3)) + 1j * rng.normal(size=(2 * dim, 3))
+    flat = data[:, 0].copy()
+    return {
+        "vector": flat[:dim].copy(),
+        "sliced-vector": flat[::2],
+        "block": data[:dim].copy(),
+        "fortran-block": np.asfortranarray(data[:dim]),
+        "sliced-block": data[::2],
+    }
+
+
+def test_random_gates_of_every_kind_match_a_tensordot_reference():
+    rng = np.random.default_rng(12)
+    num_qubits = 8
+    circ = Circuit(RegisterMap.walk(num_qubits - 1),
+                   random_gates(rng, 650, num_qubits, sorted(GATE_KINDS)), {})
+    for name, z in strided_inputs(rng, num_qubits).items():
+        want = tensordot_reference(circ, z)
+        scale = np.max(np.abs(want))
+        if name == "vector":
+            assert np.max(np.abs(apply_circuit(z, circ) - want)) <= 1e-13 * scale
+        got = circuit_unitary(circ, z)
+        assert got is z
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+
+
+def test_permutation_gates_move_data_bit_for_bit():
+    rng = np.random.default_rng(13)
+    num_qubits = 8
+    circ = Circuit(RegisterMap.walk(num_qubits - 1),
+                   random_gates(rng, 600, num_qubits, ["cnot", "cswap", "swap", "x"]), {})
+    for name, z in strided_inputs(rng, num_qubits).items():
+        want = tensordot_reference(circ, z)
+        assert np.array_equal(circuit_unitary(circ, z), want), name
+
+
+def test_no_gate_kind_reaches_tensordot(monkeypatch):
+    rng = np.random.default_rng(14)
+    circ = Circuit(RegisterMap.walk(5), random_gates(rng, 200, 6, sorted(GATE_KINDS)), {})
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("reached the tensordot path")
+
+    monkeypatch.setattr(np, "tensordot", refuse)
+    monkeypatch.setattr(np, "moveaxis", refuse)
+    circuit_unitary(circ)
+    with pytest.raises(RuntimeError, match="tensordot"):  # an explicit 4x4 matrix still does
+        apply_gate(basis(2, 0), random_unitary(4, 3), (0, 1))
