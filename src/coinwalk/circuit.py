@@ -201,6 +201,15 @@ class RegisterMap:
             ),
         )
 
+    @classmethod
+    def for_layout(cls, layout, n: int) -> "RegisterMap":
+        """The registers of the layout a document names; ``ValueError`` for any other name."""
+        if layout == "walk":
+            return cls.walk(n)
+        if layout == "linear-ancilla":
+            return cls.linear(n)
+        raise ValueError(f"unknown circuit layout {layout!r}")
+
     def _reg(self, name: str) -> range:
         for reg_name, wires in self.registers:
             if reg_name == name:
@@ -252,8 +261,9 @@ class Circuit:
         return self.registers.num_wires
 
     @property
-    def n(self) -> int:
-        return self.registers.n
+    def global_phase(self) -> float:
+        """The tracked scalar phase: the circuit is ``exp(i phase)`` times its gates."""
+        return float(self.metadata.get("global_phase", 0.0))
 
     def extended(self, more_gates: Iterable[GateInstance]) -> "Circuit":
         return Circuit(self.registers, self.gates + tuple(more_gates), dict(self.metadata))
@@ -344,14 +354,8 @@ def circuit_from_json(text: str) -> Circuit:
     payload = checked(json.loads(text), dict, "a circuit document")
     if payload.get("format") != "coinwalk-circuit/1":
         raise ValueError("not a coinwalk circuit document")
-    layout = payload.get("layout")
     n = statevec.check_document_n(checked(payload.get("n"), int, "n"))
-    if layout == "walk":
-        registers = RegisterMap.walk(n)
-    elif layout == "linear-ancilla":
-        registers = RegisterMap.linear(n)
-    else:
-        raise ValueError(f"unknown circuit layout {layout!r}")
+    registers = RegisterMap.for_layout(payload.get("layout"), n)
     gates = tuple(_gate_from_dict(d) for d in checked(payload.get("gates"), list, "gates"))
     meta = checked(payload.get("metadata", {}), dict, "metadata")
     checked(meta.get("global_phase", 0.0), float, "metadata.global_phase")

@@ -48,18 +48,17 @@ def _cmd_build(args) -> int:
 
 
 def _predictions(circ: cir.Circuit) -> dict:
+    """The closed-form report fields for a circuit, by its builder tag; the one
+    source of predictions for ``analyze``, ``scaling`` and ``shift``."""
     builder = circ.metadata.get("builder")
     n = circ.registers.n
-    out: dict = {}
     if builder == "linear":
-        out["predicted_depth"] = linear.predicted_depth(n)
-    elif builder == "shift-qft":
-        size, depth_ = shift.predicted_cost("qft", n)
-        out["predicted_cost"] = {"size": size, "depth": depth_}
-    elif builder == "shift-id":
-        size, depth_ = shift.predicted_cost("id", n)
-        out["predicted_cost"] = {"size": size, "depth": depth_}
-    return out
+        return {"predicted_depth": linear.predicted_depth(n)}
+    for scheme in shift.SCHEMES:
+        if builder == f"shift-{scheme}":
+            size, depth_ = shift.predicted_cost(scheme, n)
+            return {"predicted_cost": {"size": size, "depth": depth_}}
+    return {}
 
 
 def _cmd_analyze(args) -> int:
@@ -74,8 +73,8 @@ def _cmd_analyze(args) -> int:
         "gate_counts": cir.gate_counts(circ),
         "depth": cir.depth(circ),
         "depth_expanded": cir.depth(transpile.expand_swaps(circ)),
+        **_predictions(circ),
     }
-    report.update(_predictions(circ))
     if args.compile:
         compiled = transpile.compile_circuit(circ)
         report["compiled"] = {
@@ -87,11 +86,8 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-_TOLERANCES = {"naive": 1e-10, "linear": 1e-10, "walsh": 1e-9}
-
-
 def _cmd_verify(args) -> int:
-    tol = _TOLERANCES[args.construction]
+    tol = walk.CONSTRUCTIONS[args.construction]
     field = coins.random_field(statevec.check_document_n(args.n), seed=args.seed)
     got, residual = walk.collapse(walk.build_coin(args.construction, field))
     deviation = max(float(np.max(np.abs(got - field.coins))), residual)
@@ -131,7 +127,7 @@ def _cmd_scaling(args) -> int:
         field = coins.random_field(statevec.check_document_n(n), seed=args.seed)
         circ = walk.build_coin(args.construction, field)
         compiled = transpile.compile_circuit(circ)
-        predicted = linear.predicted_depth(n) if args.construction == "linear" else ""
+        predicted = _predictions(circ).get("predicted_depth", "")
         rows.append(
             f"{n},{len(circ.gates)},{cir.depth(circ)},"
             f"{len(compiled.gates)},{cir.depth(compiled)},{predicted}"
@@ -143,7 +139,6 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_shift(args) -> int:
     circ = shift.build_shift(args.scheme, statevec.check_document_n(args.n))
-    size, depth_ = shift.predicted_cost(args.scheme, args.n)
     compiled = transpile.compile_circuit(circ)
     print(json.dumps({
         "scheme": args.scheme,
@@ -152,7 +147,7 @@ def _cmd_shift(args) -> int:
         "depth": cir.depth(circ),
         "gates_compiled": len(compiled.gates),
         "depth_compiled": cir.depth(compiled),
-        "predicted_cost": {"size": size, "depth": depth_},
+        **_predictions(circ),
     }, indent=1))
     if args.verify:
         deviation = walk.shift_deviation(circ)
@@ -169,7 +164,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build a coin circuit from a coin-field spec")
-    p.add_argument("--construction", required=True, choices=["naive", "linear", "walsh"])
+    p.add_argument("--construction", required=True, choices=walk.CONSTRUCTIONS)
     p.add_argument("--coin", required=True, help="coin-field spec JSON path")
     p.add_argument("--truncation", type=int, default=None, help="walsh series order")
     p.add_argument("--out", required=True, help="circuit JSON output path")
@@ -182,7 +177,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("verify", help="builder-vs-oracle equivalence check")
-    p.add_argument("--construction", required=True, choices=sorted(_TOLERANCES))
+    p.add_argument("--construction", required=True, choices=walk.CONSTRUCTIONS)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
@@ -194,14 +189,14 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("scaling", help="cost-vs-n table for a construction")
-    p.add_argument("--construction", required=True, choices=["naive", "linear", "walsh"])
+    p.add_argument("--construction", required=True, choices=walk.CONSTRUCTIONS)
     p.add_argument("--n-range", default="1..6")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_scaling)
 
     p = sub.add_parser("shift", help="build a shift circuit, optionally verify")
-    p.add_argument("--scheme", required=True, choices=["qft", "id"])
+    p.add_argument("--scheme", required=True, choices=shift.SCHEMES)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=_cmd_shift)
@@ -215,7 +210,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ToolkitError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
         return 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

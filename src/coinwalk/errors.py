@@ -11,10 +11,11 @@ __all__ = ["ToolkitError", "checked"]
 
 
 class ToolkitError(Exception):
-    """Exception with a machine-readable ``code`` attribute."""
+    """Exception with a machine-readable ``code`` and a human-readable ``message``."""
 
     def __init__(self, code: str, message: str = ""):
         self.code = code
+        self.message = message
         super().__init__(f"{code}: {message}" if message else code)
 
 

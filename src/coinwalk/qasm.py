@@ -33,19 +33,22 @@ def _fmt(angle: float) -> str:
     return repr(float(angle))
 
 
+def _wire_names(regs: RegisterMap) -> dict[int, str]:
+    """The qasm name ``reg[i]`` of every wire, for the emitter and the parser alike."""
+    return {w: f"{name}[{i}]" for name, wires in regs.registers for i, w in enumerate(wires)}
+
+
 def to_qasm(circuit: Circuit) -> str:
     """Serialize a basis-level circuit; raises "not-in-basis" on anything else."""
     regs = circuit.registers
-    wire_name: dict[int, str] = {}
+    wire_name = _wire_names(regs)
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    phase = float(circuit.metadata.get("global_phase", 0.0))
+    phase = circuit.global_phase
     if phase:
         lines.append(f"// global-phase {_fmt(phase)}")
     lines.append(f"// layout {regs.layout} n={regs.n}")
     for name, wires in regs.registers:
         lines.append(f"qreg {name}[{len(wires)}];")
-        for i, w in enumerate(wires):
-            wire_name[w] = f"{name}[{i}]"
     for g in circuit.gates:
         if g.kind not in _QASM_NAME:
             raise ToolkitError(
@@ -58,7 +61,6 @@ def to_qasm(circuit: Circuit) -> str:
 
 
 _GATE_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s+(.+);$")
-_REF_RE = re.compile(r"^(\w+)\[(\d+)\]$")
 
 
 def from_qasm(text: str) -> Circuit:
@@ -98,31 +100,17 @@ def from_qasm(text: str) -> Circuit:
             raise ToolkitError("not-in-basis", f"unsupported qasm gate {name!r}")
         gates.append((name, float(arg) if arg else None, refs.split(",")))
 
-    if layout == "walk":
-        regs = RegisterMap.walk(n)
-    elif layout == "linear-ancilla":
-        regs = RegisterMap.linear(n)
-    else:
-        raise ValueError(f"cannot reconstruct layout {layout!r}")
+    regs = RegisterMap.for_layout(layout, n)
     for name, wires in regs.registers:
         if reg_sizes.get(name) != len(wires):
             raise ValueError(f"register {name} does not match layout {layout}")
 
-    def wire_of(ref: str) -> int:
-        m = _REF_RE.match(ref.strip())
-        if not m:
-            raise ValueError(f"bad wire reference {ref!r}")
-        name, idx = m.group(1), int(m.group(2))
-        for reg_name, wires in regs.registers:
-            if reg_name == name:
-                if idx >= len(wires):
-                    raise ValueError(f"wire {ref.strip()} past register {name}[{len(wires)}]")
-                return wires[idx]
-        raise ValueError(f"unknown register {name!r}")
-
+    wire_of = {ref: w for w, ref in _wire_names(regs).items()}
     instances = []
     for name, angle, refs in gates:
-        wires = [wire_of(r) for r in refs]
+        wires = [wire_of.get(r.strip()) for r in refs]
+        if None in wires:
+            raise ValueError(f"{name} names a wire outside layout {layout}: {','.join(refs)}")
         kind = _KIND_OF[name]
         n_ctl, n_tgt, _ = GATE_KINDS[kind]
         if len(wires) != n_ctl + n_tgt:

@@ -15,6 +15,7 @@ from .circuit import Circuit, GateInstance, RegisterMap, dagger
 from . import statevec
 
 __all__ = [
+    "SCHEMES",
     "build_shift",
     "build_shift_id",
     "build_shift_qft",
@@ -23,6 +24,9 @@ __all__ = [
     "qft_gates",
     "shift_permutation_matrix",
 ]
+
+#: The shift schemes: the Fourier route and the increment/decrement cascade.
+SCHEMES = ("qft", "id")
 
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -40,14 +44,14 @@ def shift_permutation_matrix(n: int) -> np.ndarray:
     return mat
 
 
-def qft_gates(n: int, regs: RegisterMap | None = None) -> list[GateInstance]:
-    """Fourier transform on the position wires, no final reversal swaps.
+def qft_gates(n: int) -> list[GateInstance]:
+    """Fourier transform on the walk layout's position wires, no final reversal swaps.
 
     Output wire order is bit-reversed relative to the defining matrix
     F[q, k] = exp(2 pi i q k / N) / sqrt(N); consumers compensate by
     reversing whatever diagonal they sandwich in between.
     """
-    regs = regs or RegisterMap.walk(n)
+    regs = RegisterMap.walk(n)
     gates: list[GateInstance] = []
     for j in range(n - 1, -1, -1):
         gates.append(GateInstance("u2", (), (regs.position(j),), matrix=_H, label="h"))
@@ -63,16 +67,15 @@ def qft_gates(n: int, regs: RegisterMap | None = None) -> list[GateInstance]:
     return gates
 
 
-def omega_phase_gates(
-    n: int, sign: int = 1, reversed_wires: bool = False, regs: RegisterMap | None = None
-) -> list[GateInstance]:
-    """Phase gradient diag(exp(sign 2 pi i q / N)) as n one-qubit phases.
+def omega_phase_gates(n: int, sign: int = 1, reversed_wires: bool = False) -> list[GateInstance]:
+    """Phase gradient diag(exp(sign 2 pi i q / N)) as n one-qubit phases on the
+    walk layout's position wires.
 
     The gradient splits over bits, P(sign 2 pi 2^p / N) on the wire carrying
     bit p of q; ``reversed_wires`` re-targets it for the bit-reversed order
     the swapless QFT leaves behind.
     """
-    regs = regs or RegisterMap.walk(n)
+    regs = RegisterMap.walk(n)
     gates = []
     for p in range(n):
         weight = n - 1 - p if reversed_wires else p
@@ -93,11 +96,11 @@ def build_shift_qft(n: int) -> Circuit:
     complement = [
         GateInstance("cnot", (coin,), (regs.position(p),)) for p in range(n)
     ]
-    fwd = qft_gates(n, regs)
+    fwd = qft_gates(n)
     gates = (
         complement
         + fwd
-        + omega_phase_gates(n, sign=-1, reversed_wires=True, regs=regs)
+        + omega_phase_gates(n, sign=-1, reversed_wires=True)
         + [dagger(g) for g in reversed(fwd)]
         + complement
     )
@@ -136,12 +139,16 @@ def build_shift_id(n: int) -> Circuit:
 
 
 def build_shift(scheme: str, n: int) -> Circuit:
-    """The ``qft`` or ``id`` shift circuit for 2^n nodes."""
-    return build_shift_qft(n) if scheme == "qft" else build_shift_id(n)
+    """The shift circuit of a scheme in :data:`SCHEMES` for 2^n nodes, else ``ValueError``."""
+    if scheme == "qft":
+        return build_shift_qft(n)
+    if scheme == "id":
+        return build_shift_id(n)
+    raise ValueError(f"unknown shift scheme {scheme!r}, not one of {SCHEMES}")
 
 
 def predicted_cost(scheme: str, n: int) -> tuple[int, int]:
-    """Reference (size, depth) closed forms for each scheme."""
+    """Reference (size, depth) closed forms for each of :data:`SCHEMES`."""
     if n < 1:
         raise ValueError("need n >= 1")
     if scheme == "qft":

@@ -8,7 +8,8 @@ the gate's own :math:`2^m \\times 2^m` matrix.  Control wires condition on
 
 Dense objects are plain ``numpy`` complex arrays; the cap on dense work is
 ``2**DENSE_QUBITS_MAX`` amplitudes per axis, and a square matrix must also
-fit in :data:`MATRIX_BYTES_MAX`.  Every circuit gate kind updates strided
+fit in :data:`MATRIX_BYTES_MAX`; :func:`check_dense_vector` and
+:func:`check_dense_matrix` hold them.  Every circuit gate kind updates strided
 slices of a dense array in place, with no ``tensordot`` (see ``_apply_matrix_inplace``).
 
 A :class:`SparseState` keeps only its nonzero amplitudes, as arrays: one bit
@@ -25,8 +26,6 @@ import numpy as np
 from .errors import ToolkitError
 
 __all__ = [
-    "ATOL_ENTRY",
-    "ATOL_NORM",
     "ATOL_UNITARY",
     "DENSE_QUBITS_MAX",
     "DOCUMENT_N_MAX",
@@ -36,6 +35,7 @@ __all__ = [
     "apply_gate",
     "apply_circuit",
     "check_dense_matrix",
+    "check_dense_vector",
     "check_document_n",
     "circuit_unitary",
     "float_array",
@@ -44,8 +44,6 @@ __all__ = [
 ]
 
 ATOL_UNITARY = 1e-10
-ATOL_NORM = 1e-10
-ATOL_ENTRY = 1e-12
 PRUNE_TOL = 1e-14
 
 _SWAP_ROWS = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
@@ -59,6 +57,12 @@ MATRIX_BYTES_MAX = 1 << 30
 #: Largest ``n`` a circuit or coin-field document may name: the 2^n complex
 #: 2x2 blocks of a coin field must fit in :data:`MATRIX_BYTES_MAX` (n = 24).
 DOCUMENT_N_MAX = (MATRIX_BYTES_MAX // 64).bit_length() - 1
+
+
+def check_dense_vector(num_qubits: int, what: str) -> None:
+    """Refuse, before allocating, a dense vector (or a few columns) over ``2^DENSE_QUBITS_MAX``."""
+    if num_qubits > DENSE_QUBITS_MAX:
+        raise ToolkitError("dense-limit-exceeded", f"{what} on {num_qubits} qubits is over the dense cap")
 
 
 def check_dense_matrix(num_qubits: int, what: str) -> None:
@@ -362,11 +366,7 @@ class SparseState:
         return self.amplitudes.get(index, 0.0)
 
     def to_dense(self) -> np.ndarray:
-        if self.num_qubits > DENSE_QUBITS_MAX:
-            raise ToolkitError(
-                "dense-limit-exceeded",
-                f"{self.num_qubits} qubits exceed the dense cap {DENSE_QUBITS_MAX}",
-            )
+        check_dense_vector(self.num_qubits, "a dense copy of a sparse state")
         vec = np.zeros(1 << self.num_qubits, dtype=complex)
         vec[_indices(self._bits)] = self._amps
         return vec
@@ -400,6 +400,5 @@ def circuit_unitary(circuit, columns: np.ndarray | None = None) -> np.ndarray:
 
 def full_unitary(circuit) -> np.ndarray:
     """Circuit unitary with the tracked global phase multiplied back in."""
-    phase = float(circuit.metadata.get("global_phase", 0.0))
-    return np.exp(1j * phase) * circuit_unitary(circuit)
+    return np.exp(1j * circuit.global_phase) * circuit_unitary(circuit)
 

@@ -144,7 +144,7 @@ def sqrt_u2(u: np.ndarray) -> np.ndarray:
 
 # -- multi-controlled X with borrowed scratch wires ---------------------------
 #
-# Internal op tuples: ("x", t) | ("cx", c, t) | ("ccx", a, b, t).
+# Internal op tuples: ("cx", c, t) | ("ccx", a, b, t).
 
 
 def _mcx_chain(controls, target, dirty):
@@ -160,11 +160,9 @@ def _mcx_chain(controls, target, dirty):
 
 
 def _mcx_ops(controls, target, pool):
-    """m-control X on ``target``; ``pool`` wires are borrowable scratch."""
+    """m-control X on ``target``, m >= 1; ``pool`` wires are borrowable scratch."""
     controls = tuple(controls)
     m = len(controls)
-    if m == 0:
-        return [("x", target)]
     if m == 1:
         return [("cx", controls[0], target)]
     if m == 2:
@@ -186,9 +184,7 @@ def _mcx_ops(controls, target, pool):
 def _render_mcx(ops) -> list[GateInstance]:
     gates: list[GateInstance] = []
     for op in ops:
-        if op[0] == "x":
-            gates.extend(x_gates(op[1]))
-        elif op[0] == "cx":
+        if op[0] == "cx":
             gates.append(GateInstance("cnot", (op[1],), (op[2],)))
         else:
             gates.extend(toffoli_gates(op[1], op[2], op[3]))
@@ -232,7 +228,7 @@ def compile_circuit(circuit: Circuit) -> Circuit:
     ``exp(i phase) * U_out == U_in_full`` up to numerical error.
     """
     out: list[GateInstance] = []
-    phase = float(circuit.metadata.get("global_phase", 0.0))
+    phase = circuit.global_phase
     for g in circuit.gates:
         kind = g.kind
         if kind in BASIS_KINDS:

@@ -28,6 +28,7 @@ from . import walsh as walsh_mod
 from . import shift as shift_mod
 
 __all__ = [
+    "CONSTRUCTIONS",
     "Distribution",
     "WalkConfig",
     "WalkResult",
@@ -44,8 +45,9 @@ __all__ = [
     "tvd",
 ]
 
-COIN_BUILDERS = ("naive", "linear", "walsh", "dense-oracle")
-SHIFT_SCHEMES = ("qft", "id")
+#: Each coin construction and its limit: the largest collapse residual a walk
+#: admits, and the largest deviation ``coinwalk verify`` admits.
+CONSTRUCTIONS = {"naive": 1e-10, "linear": 1e-10, "walsh": 1e-9}
 
 # The linear layout needs 2^(n+1) + n wires; 520 admits n <= 8.  Its exact
 # collapse took about 0.4 s at n = 8 and 4 s at n = 9 on one core of the
@@ -53,9 +55,6 @@ SHIFT_SCHEMES = ("qft", "id")
 _MAX_LINEAR_WIRES = 520
 
 _NORM_SLACK = 1e-9
-_ANCILLA_SLACK = 1e-8
-# largest |U z - blockdiag(B) z| / max|z| a collapsed coin may leave
-_COLLAPSE_SLACK = 1e-9
 _PROBE_SEED = 20220101
 
 
@@ -74,9 +73,9 @@ class WalkConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        if self.coin_builder not in COIN_BUILDERS:
+        if self.coin_builder not in (*CONSTRUCTIONS, "dense-oracle"):
             raise ValueError(f"unknown coin builder {self.coin_builder!r}")
-        if self.shift_scheme not in SHIFT_SCHEMES:
+        if self.shift_scheme not in shift_mod.SCHEMES:
             raise ValueError(f"unknown shift scheme {self.shift_scheme!r}")
         if self.shots is not None and not 1 <= self.shots < 1 << 63:
             # numpy's multinomial draws take an int64 count
@@ -173,8 +172,7 @@ def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkRes
     Each step applies ``field.coins`` to the amplitude pairs, then rolls the
     coin-0 column one node down and the coin-1 column one node up.
     """
-    if field.n + 1 > statevec.DENSE_QUBITS_MAX:
-        raise ToolkitError("dense-limit-exceeded", "oracle run needs n under the dense cap")
+    statevec.check_dense_vector(field.n + 1, "an oracle run")
     vec = np.asarray(init, dtype=complex)
     history = [_marginal_walk(vec)]
     for _ in range(steps):
@@ -194,22 +192,24 @@ def _check_truncation(construction: str, truncation: int | None, n: int) -> None
 
 
 def build_coin(construction: str, field: CoinField, truncation: int | None = None) -> Circuit:
-    """The naive, linear or walsh coin circuit for ``field``; ``truncation``
-    is the Walsh series order (``None``: the full series), ``ValueError``
-    outside ``[0, n]`` or for another construction."""
+    """The coin circuit of one of :data:`CONSTRUCTIONS` for ``field``, each
+    builder looked up on its module at call time; ``truncation`` is the Walsh
+    series order (``None``: the full series).  ``ValueError`` for any other
+    construction, or a truncation outside ``[0, n]`` or not for walsh."""
     _check_truncation(construction, truncation, field.n)
     if construction == "naive":
         return naive_mod.build_naive(field)
     if construction == "linear":
         return linear_mod.build_linear(field)
-    return walsh_mod.build_walsh_coin(field, m=truncation)
+    if construction == "walsh":
+        return walsh_mod.build_walsh_coin(field, m=truncation)
+    raise ValueError(f"unknown construction {construction!r}, not one of {tuple(CONSTRUCTIONS)}")
 
 
 def _probe(circuit: Circuit) -> np.ndarray:
     """A seeded complex Gaussian vector over a walk-layout circuit's wires."""
     q = circuit.num_wires
-    if q > statevec.DENSE_QUBITS_MAX:
-        raise ToolkitError("dense-limit-exceeded", f"a probe on {q} qubits is over the dense cap")
+    statevec.check_dense_vector(q, "a probe")
     rng = np.random.default_rng(_PROBE_SEED)
     return rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
 
@@ -232,7 +232,7 @@ def collapse(circuit: Circuit) -> tuple[np.ndarray, float]:
     block[1::2, 1] = 1.0
     block[:, 2] = z
     statevec.circuit_unitary(circuit, block)
-    block *= np.exp(1j * float(circuit.metadata.get("global_phase", 0.0)))
+    block *= np.exp(1j * circuit.global_phase)
     coins = block[:, :2].reshape(-1, 2, 2)  # row 2k+i, column j -> coins[k, i, j]
     residual = float(np.max(np.abs(block[:, 2] - _apply_coins(coins, z))))
     return coins, residual / float(np.max(np.abs(z)))
@@ -251,15 +251,15 @@ def _coin_array(config: WalkConfig) -> np.ndarray:
     if config.coin_builder == "dense-oracle":
         return config.field.coins
     circuit = build_coin(config.coin_builder, config.field, config.truncation)
-    linear = circuit.registers.layout == "linear-ancilla"
+    linear = config.coin_builder == "linear"
     if linear and circuit.num_wires > _MAX_LINEAR_WIRES:
         raise ToolkitError(
             "backend-infeasible",
             f"linear layout needs {circuit.num_wires} wires, cap {_MAX_LINEAR_WIRES}",
         )
     coins, residual = collapse(circuit)
-    code, slack = ("ancilla-residual", _ANCILLA_SLACK) if linear else ("coin-not-block-diagonal", _COLLAPSE_SLACK)
-    if not residual <= slack:
+    code = "ancilla-residual" if linear else "coin-not-block-diagonal"
+    if not residual <= CONSTRUCTIONS[config.coin_builder]:
         raise ToolkitError(code, f"coin circuit leaves residual {residual:.3e}")
     return coins
 
@@ -267,8 +267,7 @@ def _coin_array(config: WalkConfig) -> np.ndarray:
 def run(config: WalkConfig) -> WalkResult:
     """Evolve per step as coin then shift; exact marginals, optional sampling."""
     n = config.n
-    if n + 1 > statevec.DENSE_QUBITS_MAX:
-        raise ToolkitError("dense-limit-exceeded", f"walk layout for n={n} is over the cap")
+    statevec.check_dense_vector(n + 1, "the walk layout")
     shift_circuit = shift_mod.build_shift(config.shift_scheme, n)
     vec = initial_state(config)
     coins = _coin_array(config)
@@ -313,7 +312,7 @@ def config_from_json(data) -> WalkConfig:
             # a number, or a [re, im] pair of numbers
             for part in amp if isinstance(amp, list) and len(amp) == 2 else [amp]:
                 checked(part, float, "a coin amplitude")
-    return WalkConfig(
+    config = WalkConfig(
         n=checked(data.get("n"), int, "n"),
         steps=checked(data.get("steps"), int, "steps"),
         field=coin_field_from_json(data.get("field")),
@@ -324,6 +323,10 @@ def config_from_json(data) -> WalkConfig:
         shots=_optional(data, "shots", int),
         seed=_optional(data, "seed", int),
     )
+    position = (initial or {}).get("position")
+    if position is not None and not 0 <= position < 1 << config.n:
+        raise ValueError(f"initial position {position} is outside 0..{(1 << config.n) - 1}")
+    return config
 
 
 def results_to_json(config: WalkConfig, result: WalkResult, tvd_vs_oracle: float | None = None) -> str:

@@ -10,7 +10,8 @@ Sample order convention: samples[k] is f evaluated at the dyadic coordinate
 of position index k (bit-reversed fraction), which makes the coefficient
 transform a plain natural-order Walsh-Hadamard transform and makes term j's
 diagonal operator a Z-tensor on exactly the position wires in j's binary
-support.
+support.  Every sweep along increasing x visits the samples in the order
+``_dyadic_order(n)`` gives.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ToolkitError
 from .circuit import Circuit, GateInstance, RegisterMap
-from .coins import CoinField, dyadic_coordinate
+from .coins import CoinField
 
 __all__ = [
     "WalshSeries",
@@ -142,6 +143,13 @@ def truncation_error_bound(f_prime_sup: float, m: int) -> float:
     return f_prime_sup / (1 << m)
 
 
+def _dyadic_order(n: int) -> np.ndarray:
+    """Nodes by increasing :func:`coins.dyadic_coordinate`: the n-bit bit
+    reversal of ``0..2^n-1``, which is its own inverse."""
+    k = np.arange(1 << n)
+    return sum((((k >> p) & 1) << (n - 1 - p) for p in range(n)), np.zeros_like(k))
+
+
 def derivative_sup_estimate(samples) -> float:
     """sup|f'| estimated from dyadic samples: max adjacent-in-x difference / spacing.
 
@@ -154,9 +162,7 @@ def derivative_sup_estimate(samples) -> float:
         raise ToolkitError("bad-sample-count", "need a power-of-2 sample count")
     if values.size == 1:
         return 0.0
-    xs = np.array([dyadic_coordinate(k, n) for k in range(values.size)])
-    order = np.argsort(xs)
-    return float(np.max(np.abs(np.diff(values[order]))) * values.size)
+    return float(np.max(np.abs(np.diff(values[_dyadic_order(n)]))) * values.size)
 
 
 def unwrap_angles(values: np.ndarray, n: int) -> np.ndarray:
@@ -167,8 +173,7 @@ def unwrap_angles(values: np.ndarray, n: int) -> np.ndarray:
     truncation.  Shifting each value by a whole period changes no
     exponential e^{i F sigma}, so this is free smoothing.
     """
-    xs = np.array([dyadic_coordinate(k, n) for k in range(values.size)])
-    order = np.argsort(xs)
+    order = _dyadic_order(n)
     unwrapped = np.unwrap(values[order])
     out = np.empty_like(values)
     out[order] = unwrapped

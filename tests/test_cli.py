@@ -12,6 +12,7 @@ import pytest
 from coinwalk import (
     GateInstance,
     circuit_from_json,
+    circuit_to_json,
     coin_field_to_json,
     config_to_json,
     from_qasm,
@@ -19,8 +20,8 @@ from coinwalk import (
     random_field,
     WalkConfig,
 )
-from coinwalk import linear, naive, shift, statevec, walsh
-from coinwalk.cli import main
+from coinwalk import linear, naive, shift, statevec, walk, walsh
+from coinwalk.cli import _make_parser, main
 
 
 def write_json(path, payload):
@@ -189,7 +190,9 @@ def test_broken_coin_spec_maps_to_toolkit_error(tmp_path, capsys):
     path = write_json(tmp_path / "bad.json", spec)
     rc = main(["build", "--construction", "naive", "--coin", path, "--out", str(tmp_path / "x.json")])
     assert rc == 1
-    assert "error [not-unitary]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error [not-unitary]" in err
+    assert err.count("not-unitary") == 1
 
 
 @pytest.mark.parametrize(
@@ -273,6 +276,34 @@ def test_shift_verify_fails_a_tiny_phase(monkeypatch, capsys):
     )
     assert main(["shift", "--scheme", "qft", "--n", "3", "--verify"]) == 1
     assert "max deviation vs permutation oracle" in capsys.readouterr().out
+
+
+def test_parsers_take_their_choices_from_the_owners():
+    commands = next(a for a in _make_parser()._actions if a.dest == "command").choices
+    choices = {
+        (name, action.dest): list(action.choices)
+        for name, parser in commands.items()
+        for action in parser._actions
+        if action.choices is not None
+    }
+    assert choices == {
+        ("build", "construction"): list(walk.CONSTRUCTIONS),
+        ("verify", "construction"): list(walk.CONSTRUCTIONS),
+        ("scaling", "construction"): list(walk.CONSTRUCTIONS),
+        ("shift", "scheme"): list(shift.SCHEMES),
+    }
+
+
+@pytest.mark.parametrize("scheme", ["qft", "id"])
+def test_analyze_predicts_the_cost_of_a_shift_circuit(tmp_path, capsys, scheme):
+    path = tmp_path / "shift.json"
+    path.write_text(circuit_to_json(shift.build_shift(scheme, 3)))
+    assert main(["analyze", "--circuit", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    size, depth = shift.predicted_cost(scheme, 3)
+    assert report["builder"] == f"shift-{scheme}"
+    assert report["predicted_cost"] == {"size": size, "depth": depth}
+    assert "predicted_depth" not in report
 
 
 def test_unknown_choice_exits_via_argparse():

@@ -227,6 +227,8 @@ def walk_config_doc():
         pytest.param(("truncation",), -1, id="negative-truncation"),
         pytest.param(("truncation",), 2, id="truncation-over-n"),
         pytest.param(("truncation",), 100, id="truncation-100"),
+        pytest.param(("initial", "position"), 99, id="position-out-of-range"),
+        pytest.param(("initial", "position"), -1, id="negative-position"),
     ],
 )
 def test_malformed_walk_config_exits_2(tmp_path, capsys, path, value):
@@ -237,6 +239,8 @@ def test_malformed_walk_config_exits_2(tmp_path, capsys, path, value):
     assert "error" in err
     if path == ("coin_builder",):
         assert f"truncation=1 applies only to walsh, not {value}" in err
+    if path == ("initial", "position") and isinstance(value, int):
+        assert f"initial position {value} is outside 0..1" in err
 
 
 @pytest.mark.parametrize("key", ["position", "coin"])

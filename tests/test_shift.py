@@ -12,7 +12,7 @@ from coinwalk import (
     shift_permutation_matrix,
 )
 from coinwalk import statevec
-from coinwalk.shift import omega_phase_gates, qft_gates
+from coinwalk.shift import SCHEMES, build_shift, omega_phase_gates, qft_gates
 
 
 def test_permutation_matrix_moves_each_coin_branch():
@@ -51,7 +51,7 @@ def test_id_scheme_matches_permutation(n):
 def test_qft_gates_equal_fourier_matrix_up_to_bit_reversal():
     n = 3
     regs = RegisterMap.walk(n)
-    u = circuit_unitary(Circuit(regs, qft_gates(n, regs), {}))
+    u = circuit_unitary(Circuit(regs, qft_gates(n), {}))
     big_n = 1 << n
     f = np.array(
         [[np.exp(2j * np.pi * q * k / big_n) for k in range(big_n)] for q in range(big_n)]
@@ -68,7 +68,7 @@ def test_qft_gates_equal_fourier_matrix_up_to_bit_reversal():
 def test_omega_phase_gates_build_the_gradient(sign, reversed_wires):
     n = 3
     regs = RegisterMap.walk(n)
-    u = circuit_unitary(Circuit(regs, omega_phase_gates(n, sign, reversed_wires, regs), {}))
+    u = circuit_unitary(Circuit(regs, omega_phase_gates(n, sign, reversed_wires), {}))
     big_n = 1 << n
     diag = np.diagonal(u[::2, ::2])
     for q in range(big_n):
@@ -104,6 +104,13 @@ def test_predicted_cost_rejects_bad_input():
         predicted_cost("grover", 2)
     with pytest.raises(ValueError):
         predicted_cost("qft", 0)
+
+
+def test_build_shift_refuses_an_unknown_scheme():
+    assert [build_shift(s, 2).metadata["builder"] for s in SCHEMES] == ["shift-qft", "shift-id"]
+    for scheme in ["bogus", "QFT", ""]:
+        with pytest.raises(ValueError, match="unknown shift scheme"):
+            build_shift(scheme, 2)
 
 
 def test_builders_tag_metadata():

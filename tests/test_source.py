@@ -7,6 +7,11 @@ from pathlib import Path
 import coinwalk
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coinwalk"
+MODULES = [coinwalk] + [
+    importlib.import_module(f"coinwalk.{path.stem}")
+    for path in sorted(PACKAGE.glob("*.py"))
+    if path.stem != "__init__"
+]
 
 
 def test_library_has_no_assert_statements():
@@ -37,14 +42,9 @@ def test_library_imports_only_at_module_level():
 
 def test_every_export_exists_and_the_package_exports_what_it_imports():
     # A removed name must leave no entry behind in any ``__all__``.
-    modules = [coinwalk] + [
-        importlib.import_module(f"coinwalk.{path.stem}")
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem != "__init__"
-    ]
     missing = [
         f"{module.__name__}.{name}"
-        for module in modules
+        for module in MODULES
         for name in module.__all__
         if not hasattr(module, name)
     ]
@@ -57,3 +57,35 @@ def test_every_export_exists_and_the_package_exports_what_it_imports():
         for alias in node.names
     ]
     assert sorted(coinwalk.__all__) == sorted(imported)
+
+
+def _loaded_names(path: Path) -> set[str]:
+    """Names a file reads: loaded ``Name``s and ``Attribute``s, and imported names."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_export_is_read_somewhere():
+    # An export nothing reads is dead code; the package's own re-export does not count.
+    root = PACKAGE.parents[1]
+    files = [
+        path
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+        if path != PACKAGE / "__init__.py"
+    ]
+    loaded = set().union(*map(_loaded_names, files))
+    unread = [
+        f"{module.__name__}.{name}"
+        for module in MODULES
+        for name in module.__all__
+        if name not in loaded
+    ]
+    assert not unread, f"exported but never read: {', '.join(unread)}"

@@ -149,10 +149,30 @@ def test_norm_drift_raises(monkeypatch, builder):
 
 
 def test_ancilla_residual_raises(monkeypatch):
-    monkeypatch.setattr(walk_module, "_ANCILLA_SLACK", -1.0)
+    monkeypatch.setitem(walk_module.CONSTRUCTIONS, "linear", -1.0)
     with pytest.raises(ToolkitError) as err:
         run(WalkConfig(2, 1, random_field(2, seed=4), coin_builder="linear"))
     assert err.value.code == "ancilla-residual"
+
+
+@pytest.mark.parametrize("construction", ["naive", "walsh"])
+def test_walk_holds_a_collapse_to_its_construction_limit(monkeypatch, construction):
+    monkeypatch.setitem(walk_module.CONSTRUCTIONS, construction, -1.0)
+    with pytest.raises(ToolkitError) as err:
+        run(WalkConfig(2, 1, random_field(2, seed=4), coin_builder=construction))
+    assert err.value.code == "coin-not-block-diagonal"
+
+
+@pytest.mark.parametrize("name", ["dense-oracle", "bogus", "Naive", ""])
+def test_build_coin_refuses_any_other_name(name):
+    with pytest.raises(ValueError, match="unknown construction"):
+        walk_module.build_coin(name, random_field(2, seed=0))
+
+
+def test_build_coin_builds_every_construction():
+    field = random_field(2, seed=0)
+    built = [walk_module.build_coin(name, field) for name in walk_module.CONSTRUCTIONS]
+    assert [c.metadata["builder"] for c in built] == ["naive", "linear", "walsh-coin"]
 
 
 def test_linear_circuit_leaving_an_ancilla_set_raises(monkeypatch):
