@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ToolkitError, checked
+from .errors import ToolkitError, check_n, checked, float_array
 from . import statevec
 
 __all__ = [
@@ -172,10 +172,8 @@ class RegisterMap:
 
     @classmethod
     def walk(cls, n: int) -> "RegisterMap":
-        if n < 1:
-            raise ValueError("need n >= 1 position qubits")
         return cls(
-            n,
+            check_n(n),
             "walk",
             n + 1,
             (
@@ -186,9 +184,7 @@ class RegisterMap:
 
     @classmethod
     def linear(cls, n: int) -> "RegisterMap":
-        if n < 1:
-            raise ValueError("need n >= 1 position qubits")
-        npos = 1 << n
+        npos = 1 << check_n(n)
         return cls(
             n,
             "linear-ancilla",
@@ -308,7 +304,7 @@ def _gate_from_dict(d) -> GateInstance:
     d = checked(d, dict, "a gate")
     angle, matrix, label = d.get("angle"), d.get("matrix"), d.get("label")
     if matrix is not None:
-        pairs = statevec.float_array(matrix, "a gate matrix")
+        pairs = float_array(matrix, "a gate matrix")
         if pairs.ndim != 3 or pairs.shape[2] != 2:
             raise ValueError("a gate matrix must be rows of [re, im] pairs")
         matrix = pairs.view(complex)[..., 0]

@@ -7,13 +7,14 @@ the field, walk runs an evolution to JSON/CSV, scaling tabulates circuit
 cost against n, and shift builds/probes either shift scheme.  No
 subcommand builds a square matrix.
 
-Exit codes: 0 success, 1 verification failure, 2 usage problems.
+Exit codes: 0 success, 1 verification failure, 2 usage problems and size refusals.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -23,6 +24,9 @@ from . import coins, linear, qasm, shift, statevec, transpile, walk
 from .errors import ToolkitError
 
 __all__ = ["main"]
+
+#: The ToolkitError codes that refuse a request for its size: exit 2, not 1.
+_SIZE_CODES = ("dense-limit-exceeded", "backend-infeasible")
 
 
 def _load_json(path: str) -> dict:
@@ -88,7 +92,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     tol = walk.CONSTRUCTIONS[args.construction]
-    field = coins.random_field(statevec.check_document_n(args.n), seed=args.seed)
+    n = statevec.check_document_n(args.n)
+    if args.construction != "linear":  # the linear collapse is sparse, with its own budget
+        statevec.check_dense_vector(n + 1, "the walk layout")
+    field = coins.random_field(n, seed=args.seed)
     got, residual = walk.collapse(walk.build_coin(args.construction, field))
     deviation = max(float(np.max(np.abs(got - field.coins))), residual)
     print(f"{args.construction} n={args.n} seed={args.seed}: "
@@ -117,14 +124,18 @@ def _cmd_walk(args) -> int:
 
 
 def _parse_range(text: str) -> range:
-    lo, _, hi = text.partition("..")
-    return range(int(lo), int(hi) + 1)
+    """``--n-range LO..HI`` as the n from LO to HI, each one a document may name."""
+    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
+    lo, hi = map(int, match.groups()) if match else (1, 0)
+    if lo > hi:
+        raise ValueError(f"--n-range must read LO..HI, integers with LO <= HI, got {text!r}")
+    return range(statevec.check_document_n(lo), statevec.check_document_n(hi) + 1)
 
 
 def _cmd_scaling(args) -> int:
     rows = ["n,gates,depth,gates_compiled,depth_compiled,predicted"]
     for n in _parse_range(args.n_range):
-        field = coins.random_field(statevec.check_document_n(n), seed=args.seed)
+        field = coins.random_field(n, seed=args.seed)
         circ = walk.build_coin(args.construction, field)
         compiled = transpile.compile_circuit(circ)
         predicted = _predictions(circ).get("predicted_depth", "")
@@ -211,7 +222,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ToolkitError as exc:
         print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
-        return 1
+        return 2 if exc.code in _SIZE_CODES else 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ToolkitError, checked
+from .errors import ToolkitError, checked, float_array
 from . import statevec
 
 __all__ = [
     "CoinField",
+    "bit_reversal",
     "coin_field_from_json",
     "coin_field_to_json",
     "coin_from_k_params",
@@ -31,6 +32,12 @@ __all__ = [
 ]
 
 
+def bit_reversal(k, n: int):
+    """``k`` (an int or an integer array) with its ``n`` low bits reversed:
+    bit ``p`` moves to bit ``n-1-p``."""
+    return sum((((k >> p) & 1) << (n - 1 - p) for p in range(n)), 0 * k)
+
+
 def dyadic_coordinate(k: int, n: int) -> float:
     """Map node ``k`` to ``sum_p b_p 2^-(p+1)`` with ``b_p`` the bits of k.
 
@@ -39,11 +46,7 @@ def dyadic_coordinate(k: int, n: int) -> float:
     """
     if not 0 <= k < (1 << n):
         raise ToolkitError("index-out-of-range", f"node {k} outside 0..{(1 << n) - 1}")
-    x = 0.0
-    for p in range(n):
-        if (k >> p) & 1:
-            x += 2.0 ** -(p + 1)
-    return x
+    return bit_reversal(k, n) / (1 << n)
 
 
 def coin_from_k_params(alpha: float, theta: float, phi: float, lam: float) -> np.ndarray:
@@ -208,13 +211,13 @@ def coin_field_from_json(source: str | dict) -> CoinField:
     n = statevec.check_document_n(checked(obj.get("n"), int, "n"))
     kind = obj.get("kind")
     if kind is None:
-        pairs = statevec.float_array(obj.get("coins"), "coins")
+        pairs = float_array(obj.get("coins"), "coins")
         if pairs.shape != (1 << n, 4, 2):
             raise ValueError(f"expected {1 << n} coins of four [re, im] pairs, got {pairs.shape}")
         return CoinField(n, pairs.view(complex).reshape(1 << n, 2, 2), {"kind": "explicit"})
     if kind == "k-params":
         if "angles" in obj:
-            angles = statevec.float_array(obj["angles"], "angles")
+            angles = float_array(obj["angles"], "angles")
             if angles.shape != (1 << n, 4):
                 raise ValueError(f"expected {(1 << n, 4)} angles, got {angles.shape}")
             coins = np.array([coin_from_k_params(*row) for row in angles])

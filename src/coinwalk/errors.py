@@ -1,13 +1,20 @@
-"""Error type and the JSON value check shared across the package.
+"""Error type and the input rules shared across the package, each stated once.
 
 Every failure mode that callers may want to branch on carries a stable
 string code (e.g. ``"dense-limit-exceeded"``) in addition to a human
-readable message.  A malformed input document raises ``ValueError``.
+readable message.  A malformed input raises ``ValueError``: a JSON value of
+the wrong type (:func:`checked`; a number is a finite ``int`` or ``float``,
+never a ``bool`` or ``str``), lists that hold anything but such numbers
+(:func:`float_array`), or an ``n`` under 1 (:func:`check_n`).
 """
 
 from __future__ import annotations
 
-__all__ = ["ToolkitError", "checked"]
+import math
+
+import numpy as np
+
+__all__ = ["ToolkitError", "check_n", "checked", "float_array"]
 
 
 class ToolkitError(Exception):
@@ -21,12 +28,31 @@ class ToolkitError(Exception):
 
 def checked(value, kind: type, what: str):
     """``value`` if it is a JSON ``kind`` (an integer passes as a float, a boolean
-    as no number); ``ValueError`` otherwise."""
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    as no number, a float only if finite); ``ValueError`` otherwise."""
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            return float(value)
+            if math.isfinite(value):  # OverflowError for an integer past the float range
+                return float(value)
         except OverflowError:
             pass
     elif isinstance(value, kind) and not isinstance(value, bool):
         return value
     raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r:.40}")
+
+
+def float_array(data, what: str) -> np.ndarray:
+    """Nested JSON lists of numbers, each as :func:`checked` reads one, as a float array."""
+    try:
+        raw = np.array(data, dtype=object)
+        if {type(v) for v in raw.flat} <= {int, float} and np.isfinite(values := raw.astype(float)).all():
+            return values
+    except (ValueError, OverflowError):  # ragged lists; an integer past the float range
+        pass
+    raise ValueError(f"{what} must be nested lists of finite numbers")
+
+
+def check_n(n: int) -> int:
+    """``n`` if it is at least 1, the fewest position qubits; ``ValueError`` otherwise."""
+    if n < 1:
+        raise ValueError(f"n={n} is under 1")
+    return n

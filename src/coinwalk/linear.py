@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import statevec
-from .errors import ToolkitError
+from .errors import ToolkitError, check_n
 from .circuit import Circuit, GateInstance, RegisterMap, dagger
 from .coins import CoinField
 
@@ -235,6 +235,4 @@ def coin_blocks(circuit: Circuit) -> tuple[np.ndarray, float]:
 
 def predicted_depth(n: int) -> int:
     """Block-convention depth cap for the full sandwich: 20n + 2*[n=1] - 7."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return 20 * n + (2 if n == 1 else 0) - 7
+    return 20 * check_n(n) + (2 if n == 1 else 0) - 7

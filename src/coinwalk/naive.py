@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import ToolkitError, check_n
 from .circuit import Circuit, GateInstance, RegisterMap
 from .coins import CoinField
 
@@ -20,9 +20,7 @@ __all__ = ["build_naive", "tower", "tower_flips"]
 
 def tower_flips(n: int, i: int) -> list[int]:
     """Position-wire indices flipped by tower i, 0 <= i < 2^(n-1) (i = 0 for n = 1)."""
-    if n < 1:
-        raise ToolkitError("index-out-of-range", "tower needs n >= 1")
-    if not 0 <= i < max(1 << (n - 1), 1):
+    if not 0 <= i < 1 << (check_n(n) - 1):
         raise ToolkitError("index-out-of-range", f"tower index {i} invalid for n={n}")
     if i == 0:
         return list(range(n))
@@ -49,7 +47,7 @@ def build_naive(field: CoinField) -> Circuit:
     regs = RegisterMap.walk(n)
     pos = tuple(regs.position(p) for p in range(n))
     coin = regs.coin()
-    half = max(1 << (n - 1), 1)
+    half = 1 << (n - 1)
     gates: list[GateInstance] = []
     for k in range(1 << n):
         gates.extend(tower(n, k % half))

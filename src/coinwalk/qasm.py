@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ToolkitError
+from .errors import ToolkitError, checked
 from .circuit import GATE_KINDS, Circuit, GateInstance, RegisterMap
 from .statevec import check_document_n
 
@@ -78,7 +78,7 @@ def from_qasm(text: str) -> Circuit:
             if directive[:1] == ["global-phase"]:
                 if len(directive) != 2:
                     raise ValueError(f"bad global-phase comment: {raw!r}")
-                phase = float(directive[1])
+                phase = checked(float(directive[1]), float, "the global-phase comment")
             elif directive[:1] == ["layout"]:
                 if len(directive) != 3 or not directive[2].startswith("n="):
                     raise ValueError(f"bad layout comment: {raw!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_n
 from .circuit import Circuit, GateInstance, RegisterMap, dagger
 from . import statevec
 
@@ -149,8 +150,7 @@ def build_shift(scheme: str, n: int) -> Circuit:
 
 def predicted_cost(scheme: str, n: int) -> tuple[int, int]:
     """Reference (size, depth) closed forms for each of :data:`SCHEMES`."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    check_n(n)
     if scheme == "qft":
         return (n * n + 4 * n + 1, 2 * n + 3)
     if scheme == "id":

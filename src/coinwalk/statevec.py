@@ -23,7 +23,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import ToolkitError
+from .errors import ToolkitError, check_n
 
 __all__ = [
     "ATOL_UNITARY",
@@ -38,7 +38,6 @@ __all__ = [
     "check_dense_vector",
     "check_document_n",
     "circuit_unitary",
-    "float_array",
     "full_unitary",
     "is_unitary",
 ]
@@ -78,19 +77,9 @@ def check_dense_matrix(num_qubits: int, what: str) -> None:
 
 def check_document_n(n: int) -> int:
     """``n`` if a document may name it, 1 to :data:`DOCUMENT_N_MAX`; ``ValueError`` otherwise."""
-    if n < 1:
-        raise ValueError(f"n={n} is under 1, the smallest a document may name")
-    if n > DOCUMENT_N_MAX:
+    if check_n(n) > DOCUMENT_N_MAX:
         raise ValueError(f"n={n} is over {DOCUMENT_N_MAX}, the largest a document may name")
     return n
-
-
-def float_array(data, what: str) -> np.ndarray:
-    """Nested JSON lists of numbers as a float array; ``ValueError`` otherwise."""
-    try:
-        return np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be nested lists of numbers") from None
 
 
 def is_unitary(m: np.ndarray, atol: float = ATOL_UNITARY) -> bool:

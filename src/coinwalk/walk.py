@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ToolkitError, checked
 from . import statevec
-from .circuit import Circuit
+from .circuit import Circuit, RegisterMap
 # total_coin_matrix is imported for perfbench's tracer test, which reads
 # walk.total_coin_matrix.
 from .coins import CoinField, coin_field_from_json, coin_field_to_json, total_coin_matrix  # noqa: F401
@@ -83,6 +83,7 @@ class WalkConfig:
         if self.field.n != self.n:
             raise ValueError("coin field size does not match n")
         _check_truncation(self.coin_builder, self.truncation, self.n)
+        _start(self)
 
 
 @dataclass(frozen=True)
@@ -113,29 +114,26 @@ def tvd(p, q) -> float:
     return 0.5 * float(np.abs(pa - qa).sum())
 
 
-def _coin_amplitudes(spec: dict) -> np.ndarray:
+def _start(config: WalkConfig) -> tuple[int, np.ndarray]:
+    """``config.initial`` as (position, unit coin amplitudes); ``ValueError`` if either is bad."""
+    # a null entry means the same as an absent one
+    spec = {key: value for key, value in (config.initial or {}).items() if value is not None}
+    k = int(spec.get("position", 0))
+    if not 0 <= k < 1 << config.n:
+        raise ValueError(f"initial position {k} is outside 0..{(1 << config.n) - 1}")
     raw = spec.get("coin", [1, 0])
-    amps = np.array(
-        [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in raw]
-    )
+    amps = np.array([complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in raw])
     norm = np.linalg.norm(amps)
     if amps.shape != (2,) or not 0 < norm < np.inf:
         raise ValueError("coin amplitude spec must be two entries of finite, nonzero norm")
-    return amps / norm
+    return k, amps / norm
 
 
 def initial_state(config: WalkConfig) -> np.ndarray:
     """Dense walk-layout vector: |position> (x) (coin amplitudes)."""
-    n = config.n
-    # a null entry means the same as an absent one
-    spec = {key: value for key, value in (config.initial or {}).items() if value is not None}
-    k = int(spec.get("position", 0))
-    if not 0 <= k < 1 << n:
-        raise ToolkitError("index-out-of-range", f"initial position {k} for n={n}")
-    amps = _coin_amplitudes(spec)
-    vec = np.zeros(1 << (n + 1), dtype=complex)
-    vec[2 * k] = amps[0]
-    vec[2 * k + 1] = amps[1]
+    k, amps = _start(config)
+    vec = np.zeros(2 << config.n, dtype=complex)
+    vec[2 * k:2 * k + 2] = amps
     return vec
 
 
@@ -156,14 +154,25 @@ def _apply_coins(coins: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kj->ki", coins, vec.reshape(-1, 2)).reshape(-1)
 
 
-def _check_norm(norm: float) -> None:
+def _norm_checked(vec: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(vec))
     if not abs(norm - 1.0) <= _NORM_SLACK:
         raise ToolkitError("norm-drift", f"norm drifted to {norm}")
+    return vec
 
 
 def _shift_rolls(vec: np.ndarray) -> np.ndarray:
     pairs = vec.reshape(-1, 2)
     return np.stack([np.roll(pairs[:, 0], -1), np.roll(pairs[:, 1], 1)], axis=1).reshape(-1)
+
+
+def _evolve(vec: np.ndarray, steps: int, coins: np.ndarray, shift) -> tuple[np.ndarray, list]:
+    """The final vector and every marginal, each step the coins then the function ``shift``."""
+    history = [_marginal_walk(vec)]
+    for _ in range(steps):
+        vec = shift(_apply_coins(coins, vec))
+        history.append(_marginal_walk(vec))
+    return vec, history
 
 
 def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkResult:
@@ -173,11 +182,7 @@ def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkRes
     coin-0 column one node down and the coin-1 column one node up.
     """
     statevec.check_dense_vector(field.n + 1, "an oracle run")
-    vec = np.asarray(init, dtype=complex)
-    history = [_marginal_walk(vec)]
-    for _ in range(steps):
-        vec = _shift_rolls(_apply_coins(field.coins, vec))
-        history.append(_marginal_walk(vec))
+    vec, history = _evolve(np.asarray(init, dtype=complex), steps, field.coins, _shift_rolls)
     return WalkResult(Distribution(history[-1]), vec, history)
 
 
@@ -250,32 +255,25 @@ def _coin_array(config: WalkConfig) -> np.ndarray:
     """The walk's ``(2^n, 2, 2)`` coin array: the field, or its builder's circuit collapsed."""
     if config.coin_builder == "dense-oracle":
         return config.field.coins
-    circuit = build_coin(config.coin_builder, config.field, config.truncation)
     linear = config.coin_builder == "linear"
-    if linear and circuit.num_wires > _MAX_LINEAR_WIRES:
-        raise ToolkitError(
-            "backend-infeasible",
-            f"linear layout needs {circuit.num_wires} wires, cap {_MAX_LINEAR_WIRES}",
-        )
-    coins, residual = collapse(circuit)
-    code = "ancilla-residual" if linear else "coin-not-block-diagonal"
+    if linear and (wires := RegisterMap.linear(config.n).num_wires) > _MAX_LINEAR_WIRES:
+        raise ToolkitError("backend-infeasible",
+                           f"linear layout needs {wires} wires, cap {_MAX_LINEAR_WIRES}")
+    coins, residual = collapse(build_coin(config.coin_builder, config.field, config.truncation))
     if not residual <= CONSTRUCTIONS[config.coin_builder]:
-        raise ToolkitError(code, f"coin circuit leaves residual {residual:.3e}")
+        raise ToolkitError(
+            "ancilla-residual" if linear else "coin-not-block-diagonal",
+            f"coin circuit leaves residual {residual:.3e}",
+        )
     return coins
 
 
 def run(config: WalkConfig) -> WalkResult:
     """Evolve per step as coin then shift; exact marginals, optional sampling."""
-    n = config.n
-    statevec.check_dense_vector(n + 1, "the walk layout")
-    shift_circuit = shift_mod.build_shift(config.shift_scheme, n)
-    vec = initial_state(config)
-    coins = _coin_array(config)
-    history = [_marginal_walk(vec)]
-    for _ in range(config.steps):
-        vec = statevec.apply_circuit(_apply_coins(coins, vec), shift_circuit)
-        _check_norm(float(np.linalg.norm(vec)))
-        history.append(_marginal_walk(vec))
+    statevec.check_dense_vector(config.n + 1, "the walk layout")
+    shift_circuit = shift_mod.build_shift(config.shift_scheme, config.n)
+    vec, history = _evolve(initial_state(config), config.steps, _coin_array(config),
+                           lambda v: _norm_checked(statevec.apply_circuit(v, shift_circuit)))
     probs = history[-1]
     return WalkResult(Distribution(probs, _sample(probs, config)), vec, history)
 
@@ -312,7 +310,7 @@ def config_from_json(data) -> WalkConfig:
             # a number, or a [re, im] pair of numbers
             for part in amp if isinstance(amp, list) and len(amp) == 2 else [amp]:
                 checked(part, float, "a coin amplitude")
-    config = WalkConfig(
+    return WalkConfig(
         n=checked(data.get("n"), int, "n"),
         steps=checked(data.get("steps"), int, "steps"),
         field=coin_field_from_json(data.get("field")),
@@ -323,10 +321,6 @@ def config_from_json(data) -> WalkConfig:
         shots=_optional(data, "shots", int),
         seed=_optional(data, "seed", int),
     )
-    position = (initial or {}).get("position")
-    if position is not None and not 0 <= position < 1 << config.n:
-        raise ValueError(f"initial position {position} is outside 0..{(1 << config.n) - 1}")
-    return config
 
 
 def results_to_json(config: WalkConfig, result: WalkResult, tvd_vs_oracle: float | None = None) -> str:

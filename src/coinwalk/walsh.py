@@ -11,7 +11,7 @@ of position index k (bit-reversed fraction), which makes the coefficient
 transform a plain natural-order Walsh-Hadamard transform and makes term j's
 diagonal operator a Z-tensor on exactly the position wires in j's binary
 support.  Every sweep along increasing x visits the samples in the order
-``_dyadic_order(n)`` gives.
+:func:`coins.bit_reversal` gives.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ToolkitError
 from .circuit import Circuit, GateInstance, RegisterMap
-from .coins import CoinField
+from .coins import CoinField, bit_reversal
 
 __all__ = [
     "WalshSeries",
@@ -143,13 +143,6 @@ def truncation_error_bound(f_prime_sup: float, m: int) -> float:
     return f_prime_sup / (1 << m)
 
 
-def _dyadic_order(n: int) -> np.ndarray:
-    """Nodes by increasing :func:`coins.dyadic_coordinate`: the n-bit bit
-    reversal of ``0..2^n-1``, which is its own inverse."""
-    k = np.arange(1 << n)
-    return sum((((k >> p) & 1) << (n - 1 - p) for p in range(n)), np.zeros_like(k))
-
-
 def derivative_sup_estimate(samples) -> float:
     """sup|f'| estimated from dyadic samples: max adjacent-in-x difference / spacing.
 
@@ -162,7 +155,8 @@ def derivative_sup_estimate(samples) -> float:
         raise ToolkitError("bad-sample-count", "need a power-of-2 sample count")
     if values.size == 1:
         return 0.0
-    return float(np.max(np.abs(np.diff(values[_dyadic_order(n)]))) * values.size)
+    along_x = values[bit_reversal(np.arange(values.size), n)]
+    return float(np.max(np.abs(np.diff(along_x))) * values.size)
 
 
 def unwrap_angles(values: np.ndarray, n: int) -> np.ndarray:
@@ -173,7 +167,7 @@ def unwrap_angles(values: np.ndarray, n: int) -> np.ndarray:
     truncation.  Shifting each value by a whole period changes no
     exponential e^{i F sigma}, so this is free smoothing.
     """
-    order = _dyadic_order(n)
+    order = bit_reversal(np.arange(1 << n), n)
     unwrapped = np.unwrap(values[order])
     out = np.empty_like(values)
     out[order] = unwrapped

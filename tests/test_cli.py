@@ -142,6 +142,14 @@ def test_scaling_table(tmp_path):
     assert all(line.endswith(",") for line in naive_out.read_text().strip().splitlines()[1:])
 
 
+@pytest.mark.parametrize("text", ["3..1", "3", "1..", "..3", "1..2..3", "a..b"])
+def test_scaling_refuses_a_malformed_n_range(tmp_path, capsys, text):
+    out = tmp_path / "table.csv"
+    assert main(["scaling", "--construction", "naive", "--n-range", text, "--out", str(out)]) == 2
+    assert "--n-range must read LO..HI" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shift_report_and_verification(capsys):
     rc = main(["shift", "--scheme", "qft", "--n", "3"])
     assert rc == 0
@@ -218,6 +226,39 @@ def test_shift_verify_past_the_matrix_budget_exits_0(capsys, no_large_matrices):
     rc = main(["shift", "--scheme", "qft", "--n", "13", "--verify"])
     assert rc == 0
     assert "max deviation vs permutation oracle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["walk", "linear", "9"], "backend-infeasible"),
+        (["walk", "dense-oracle", "4"], "dense-limit-exceeded"),
+        (["verify", "--construction", "naive", "--n", "4"], "dense-limit-exceeded"),
+        (["verify", "--construction", "walsh", "--n", "4"], "dense-limit-exceeded"),
+        (["shift", "--scheme", "qft", "--n", "4", "--verify"], "dense-limit-exceeded"),
+    ],
+    ids=["linear-walk", "oracle-walk", "verify-naive", "verify-walsh", "shift-verify"],
+)
+def test_a_request_refused_for_its_size_exits_2_before_any_coin_is_built(
+    tmp_path, monkeypatch, capsys, argv, code
+):
+    if argv[0] == "walk":
+        n = int(argv[2])  # 2^(n+1) + n = 1033 linear wires at n = 9, over the cap
+        config = {"n": n, "steps": 1, "coin_builder": argv[1],
+                  "field": {"n": n, "kind": "k-params", "seed": 1}}
+        argv = ["walk", "--config", write_json(tmp_path / "walk.json", config),
+                "--out", str(tmp_path / "out.json")]
+    if code == "dense-limit-exceeded":
+        # n = 4 puts the walk layout on 5 qubits, over a dense cap of 4
+        monkeypatch.setattr(statevec, "DENSE_QUBITS_MAX", 4)
+
+    def refuse(field, *args, **kwargs):
+        raise AssertionError(f"built a coin circuit at n={field.n}")
+
+    for module, name in ((naive, "build_naive"), (linear, "build_linear"), (walsh, "build_walsh_coin")):
+        monkeypatch.setattr(module, name, refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.count(code) == 1
 
 
 def refuse_square_matrices(monkeypatch):

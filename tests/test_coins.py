@@ -19,6 +19,7 @@ from coinwalk import (
     random_field,
     total_coin_matrix,
 )
+from coinwalk.coins import bit_reversal
 from coinwalk.statevec import is_unitary
 
 
@@ -31,10 +32,15 @@ def test_dyadic_coordinate_values():
 
 
 def test_dyadic_coordinate_is_bit_reversed_fraction():
-    n = 5
-    for k in range(1 << n):
-        rev = int(f"{k:0{n}b}"[::-1], 2)
-        assert dyadic_coordinate(k, n) == rev / (1 << n)
+    # one bit reversal serves an int and an array; the coordinate is the sum
+    # of the bit weights 2^-(p+1), exactly
+    for n in range(13):
+        rev = [int(f"{k:0{n}b}"[::-1], 2) for k in range(1 << n)]
+        assert bit_reversal(np.arange(1 << n), n).tolist() == rev
+        for k in range(1 << n):
+            assert bit_reversal(k, n) == rev[k]
+            assert dyadic_coordinate(k, n) == rev[k] / (1 << n)
+            assert dyadic_coordinate(k, n) == sum(2.0 ** -(p + 1) for p in range(n) if k >> p & 1)
 
 
 def test_dyadic_coordinate_injective_and_bounded():

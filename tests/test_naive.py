@@ -30,9 +30,10 @@ def test_tower_gates_target_position_wires():
 
 @pytest.mark.parametrize("n,i", [(0, 0), (3, 4), (3, -1), (1, 1)])
 def test_tower_index_validation(n, i):
-    with pytest.raises(ToolkitError) as err:
+    # n under 1 breaks errors.check_n's rule; an index outside the towers has its own code
+    with pytest.raises(ValueError if n < 1 else ToolkitError) as err:
         tower(n, i)
-    assert err.value.code == "index-out-of-range"
+    assert n < 1 or err.value.code == "index-out-of-range"
 
 
 def test_tower_walk_visits_every_node():

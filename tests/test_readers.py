@@ -23,9 +23,9 @@ from coinwalk import (
     to_qasm,
 )
 from coinwalk import WalkConfig, coins, config_from_json, config_to_json, initial_state
-from coinwalk import shift
+from coinwalk import linear, naive, shift
 from coinwalk.cli import main
-from coinwalk.statevec import DOCUMENT_N_MAX
+from coinwalk.statevec import DOCUMENT_N_MAX, check_document_n
 
 def circuit_doc():
     circ = Circuit(
@@ -89,6 +89,50 @@ def test_malformed_circuit_document_is_a_value_error(path, value):
     text = json.dumps(edited(circuit_doc(), path, value))
     with pytest.raises(ValueError):
         circuit_from_json(text)
+
+
+def write_doc(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+NOT_NUMBERS = [
+    pytest.param("1", id="string"),
+    pytest.param(True, id="true"),
+    pytest.param("nan", id="string-nan"),
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(float("-inf"), id="infinity"),
+]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+@pytest.mark.parametrize(
+    "doc,path,field",
+    [
+        pytest.param(0, ("coins", 1, 2, 0), "coins", id="explicit-coin"),
+        pytest.param(2, ("angles", 1, 3), "angles", id="k-params-angle"),
+        pytest.param(3, ("mass",), "mass", id="dirac-mass"),
+    ],
+)
+def test_a_coin_field_number_that_is_no_finite_number_exits_2(tmp_path, capsys, doc, path, field, value):
+    spec = write_doc(tmp_path / "field.json", edited(coin_docs()[doc], path, value))
+    assert main(["build", "--construction", "naive", "--coin", spec, "--out", str(tmp_path / "c.json")]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+@pytest.mark.parametrize(
+    "path,field",
+    [
+        pytest.param(("gates", 2, "matrix", 0, 1, 0), "a gate matrix", id="gate-matrix"),
+        pytest.param(("gates", 1, "angle"), "angle", id="gate-angle"),
+        pytest.param(("metadata", "global_phase"), "metadata.global_phase", id="global-phase"),
+    ],
+)
+def test_a_circuit_number_that_is_no_finite_number_exits_2(tmp_path, capsys, path, field, value):
+    doc = write_doc(tmp_path / "circuit.json", edited(circuit_doc(), path, value))
+    assert main(["analyze", "--circuit", doc]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_circuit_document_must_be_an_object():
@@ -197,6 +241,24 @@ def test_cli_n_under_1_exits_2(tmp_path, capsys, command, n):
     }[command]
     assert main(argv) == 2
     assert f"n={n} is under 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        RegisterMap.walk,
+        RegisterMap.linear,
+        linear.predicted_depth,
+        lambda n: shift.predicted_cost("qft", n),
+        lambda n: naive.tower_flips(n, 0),
+        check_document_n,
+    ],
+    ids=["walk-registers", "linear-registers", "linear-depth", "shift-cost", "tower", "document"],
+)
+def test_n_under_1_is_one_value_error_at_every_entry(entry, n):
+    with pytest.raises(ValueError, match=f"^n={n} is under 1$"):
+        entry(n)
 
 
 def walk_config_doc():
@@ -350,6 +412,14 @@ def test_edited_qasm_gives_only_input_errors(index, prefix, tail):
     lines = list(QASM_LINES)
     lines[index] = prefix + tail
     only_input_errors(from_qasm, "\n".join(lines))
+
+
+@pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])
+def test_qasm_global_phase_that_is_no_finite_number_is_a_value_error(phase):
+    lines = [f"// global-phase {phase}" if line.startswith("// global-phase") else line
+             for line in QASM_LINES]
+    with pytest.raises(ValueError, match="the global-phase comment"):
+        from_qasm("\n".join(lines))
 
 
 @pytest.mark.parametrize("n", [70, DOCUMENT_N_MAX + 1])

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import coinwalk
@@ -89,3 +90,24 @@ def test_every_export_is_read_somewhere():
         if name not in loaded
     ]
     assert not unread, f"exported but never read: {', '.join(unread)}"
+
+
+def test_every_error_code_is_in_the_readme_list():
+    # A code is the literal first argument of a ToolkitError(...) call, or
+    # either literal branch of a conditional expression there.
+    codes, unread = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ToolkitError"):
+                continue
+            first = node.args[0] if node.args else None
+            for arg in [first.body, first.orelse] if isinstance(first, ast.IfExp) else [first]:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    codes.add(arg.value)
+                else:
+                    unread.append(f"{path.name}:{node.lineno}")
+    assert codes and not unread, f"ToolkitError codes that are not literals: {', '.join(unread)}"
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Errors carry stable codes", 1)[1].split("\n\n", 1)[0]
+    missing = sorted(codes - set(re.findall(r"`([a-z]+(?:-[a-z]+)+)`", listed)))
+    assert not missing, f"codes missing from README's list of stable codes: {', '.join(missing)}"
