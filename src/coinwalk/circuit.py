@@ -244,7 +244,9 @@ class Circuit:
 
     def __post_init__(self):
         self.gates = tuple(self.gates)
-        for g in self.gates:
+        # once per distinct gate object (a compiled circuit reuses them), in
+        # circuit order, so the first bad gate is the one reported
+        for g in dict.fromkeys(self.gates):
             for w in g.wires:
                 if not 0 <= w < self.registers.num_wires:
                     raise ToolkitError(

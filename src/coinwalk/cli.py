@@ -93,7 +93,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     tol = walk.CONSTRUCTIONS[args.construction]
     n = statevec.check_document_n(args.n)
-    if args.construction != "linear":  # the linear collapse is sparse, with its own budget
+    if args.construction == "linear":  # the linear collapse is sparse, with its own budget
+        linear.check_collapse_budget(n)
+    else:
         statevec.check_dense_vector(n + 1, "the walk layout")
     field = coins.random_field(n, seed=args.seed)
     got, residual = walk.collapse(walk.build_coin(args.construction, field))

@@ -27,6 +27,7 @@ __all__ = [
     "build_q1_naive",
     "build_q1_parallel",
     "build_q2",
+    "check_collapse_budget",
     "coin_blocks",
     "predicted_depth",
 ]
@@ -190,6 +191,23 @@ def build_linear(field: CoinField) -> Circuit:
     return Circuit(q1.registers, tuple(gates), meta)
 
 
+def check_collapse_budget(n: int) -> None:
+    """Refuse, from ``n`` alone and before any circuit exists, a :func:`coin_blocks`
+    collapse whose bit rows overrun :data:`statevec.MATRIX_BYTES_MAX`.
+
+    The ``2^(n+1)`` inputs take up to two rows each once Q0 branches them, each
+    row one byte per wire of the layout plus ``n + 1`` tag wires:
+    ``2 * 2^(n+1) * (wires + n + 1)`` bytes; ``"dense-limit-exceeded"`` over it.
+    """
+    size = 2 * (2 << n) * (RegisterMap.linear(n).num_wires + n + 1)
+    if size > statevec.MATRIX_BYTES_MAX:
+        raise ToolkitError(
+            "dense-limit-exceeded",
+            f"the collapse of n={n} needs {size / 2**30:g} GiB of bit rows, over the "
+            f"{statevec.MATRIX_BYTES_MAX / 2**30:g} GiB matrix budget",
+        )
+
+
 def coin_blocks(circuit: Circuit) -> tuple[np.ndarray, float]:
     """The ``(2^n, 2, 2)`` coin array a linear circuit applies, and its residual.
 
@@ -202,19 +220,12 @@ def coin_blocks(circuit: Circuit) -> tuple[np.ndarray, float]:
     left anywhere else; by linearity, zero on every basis input means the
     ancillas come back to |0> on every input state.  No global phase is
     applied: :func:`build_linear` tracks none.  The bit rows, up to two per
-    input once Q0 branches them, must fit in :data:`statevec.MATRIX_BYTES_MAX`
-    (``"dense-limit-exceeded"`` before anything is allocated otherwise).
+    input once Q0 branches them, must pass :func:`check_collapse_budget`.
     """
     regs = circuit.registers
+    check_collapse_budget(regs.n)
     q = regs.num_wires
     inputs = 2 << regs.n
-    size = 2 * inputs * (q + regs.n + 1)
-    if size > statevec.MATRIX_BYTES_MAX:
-        raise ToolkitError(
-            "dense-limit-exceeded",
-            f"the collapse of n={regs.n} needs {size / 2**30:g} GiB of bit rows, over the "
-            f"{statevec.MATRIX_BYTES_MAX / 2**30:g} GiB matrix budget",
-        )
     landing = {regs.embed(j >> 1, j & 1): j for j in range(inputs)}
     start = statevec.SparseState(
         q + regs.n + 1, {index | (j << q): 1.0 for index, j in landing.items()}

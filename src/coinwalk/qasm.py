@@ -39,7 +39,12 @@ def _wire_names(regs: RegisterMap) -> dict[int, str]:
 
 
 def to_qasm(circuit: Circuit) -> str:
-    """Serialize a basis-level circuit; raises "not-in-basis" on anything else."""
+    """Serialize a basis-level circuit; raises "not-in-basis" on anything else.
+
+    Each distinct gate object is formatted once and its line reused wherever
+    it recurs, as in a compiled circuit's shared networks; the text is the
+    same as formatting every gate afresh.
+    """
     regs = circuit.registers
     wire_name = _wire_names(regs)
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
@@ -49,14 +54,18 @@ def to_qasm(circuit: Circuit) -> str:
     lines.append(f"// layout {regs.layout} n={regs.n}")
     for name, wires in regs.registers:
         lines.append(f"qreg {name}[{len(wires)}];")
+    line_of: dict[GateInstance, str] = {}
     for g in circuit.gates:
-        if g.kind not in _QASM_NAME:
-            raise ToolkitError(
-                "not-in-basis", f"gate kind {g.kind!r} has no qasm spelling; compile first"
-            )
-        wires = ",".join(wire_name[w] for w in g.wires)
-        angle = f"({_fmt(g.angle)})" if GATE_KINDS[g.kind][2] == "angle" else ""
-        lines.append(f"{_QASM_NAME[g.kind]}{angle} {wires};")
+        line = line_of.get(g)
+        if line is None:
+            if g.kind not in _QASM_NAME:
+                raise ToolkitError(
+                    "not-in-basis", f"gate kind {g.kind!r} has no qasm spelling; compile first"
+                )
+            wires = ",".join(wire_name[w] for w in g.wires)
+            angle = f"({_fmt(g.angle)})" if GATE_KINDS[g.kind][2] == "angle" else ""
+            line = line_of[g] = f"{_QASM_NAME[g.kind]}{angle} {wires};"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,14 @@ Multi-controlled gates use the ancilla-free split: ``C^k(U)`` peels one
 control at a time through ``V = sqrt(U)`` conjugations, and the inner
 multi-controlled X gates borrow already-present wires (in whatever state)
 as scratch, giving an overall gate count quadratic in the control count.
+
+Expansions that depend only on wires (X, CZ, SWAP, CSWAP, Toffoli and the
+borrowed-wire X networks) are built once per :func:`compile_circuit` or
+:func:`expand_swaps` call and shared: every later occurrence reuses the same
+immutable :class:`GateInstance` objects, so the naive coin's 2^n gates with
+one set of controls share one set of networks.  Only the angle-bearing parts
+(``controlled_u2_gates``, ``sqrt_u2``, ``decompose_su2``) are built per
+gate.  The memo lives for one call; two calls share no gate object.
 """
 
 from __future__ import annotations
@@ -112,14 +120,45 @@ def cswap_gates(control: int, a: int, b: int) -> list[GateInstance]:
     return [pre] + toffoli_gates(control, a, b) + [pre]
 
 
+class _Shared(dict):
+    """One lowering call's wire-only expansions: ``(builder, wires) -> gates``.
+
+    Each is built on first use and the same tuple is returned after; the
+    gates are immutable, so one copy serves every occurrence.
+    """
+
+    def __call__(self, build, *wires) -> tuple[GateInstance, ...]:
+        key = (build, wires)
+        gates = self.get(key)
+        if gates is None:
+            gates = self[key] = tuple(build(*wires))
+        return gates
+
+    def mcx(self, controls, target, pool) -> tuple[GateInstance, ...]:
+        """The :func:`_mcx_ops` network as gates, its Toffolis shared too."""
+        key = (_mcx_ops, controls, target, pool)
+        gates = self.get(key)
+        if gates is None:
+            built: list[GateInstance] = []
+            for op in _mcx_ops(controls, target, pool):
+                if op[0] == "cx":
+                    built.append(GateInstance("cnot", (op[1],), (op[2],)))
+                else:
+                    built.extend(self(toffoli_gates, *op[1:]))
+            gates = self[key] = tuple(built)
+        return gates
+
+
 def expand_swaps(circuit: Circuit) -> Circuit:
-    """The circuit with every SWAP and CSWAP rewritten into its basis gates."""
+    """The circuit with every SWAP and CSWAP rewritten into its basis gates,
+    each distinct expansion built once for the call (module docstring)."""
     gates: list[GateInstance] = []
+    shared = _Shared()
     for g in circuit.gates:
         if g.kind == "swap":
-            gates.extend(swap_gates(*g.targets))
+            gates.extend(shared(swap_gates, *g.targets))
         elif g.kind == "cswap":
-            gates.extend(cswap_gates(g.controls[0], *g.targets))
+            gates.extend(shared(cswap_gates, g.controls[0], *g.targets))
         else:
             gates.append(g)
     return Circuit(circuit.registers, tuple(gates), dict(circuit.metadata))
@@ -181,32 +220,31 @@ def _mcx_ops(controls, target, pool):
     return b_ops + a_ops + b_ops + a_ops
 
 
-def _render_mcx(ops) -> list[GateInstance]:
-    gates: list[GateInstance] = []
-    for op in ops:
-        if op[0] == "cx":
-            gates.append(GateInstance("cnot", (op[1],), (op[2],)))
-        else:
-            gates.extend(toffoli_gates(op[1], op[2], op[3]))
-    return gates
-
-
-def _ck_u2(u, controls, target, pool) -> list[GateInstance]:
+def _ck_u2(u, controls, target, pool, shared: _Shared) -> list[GateInstance]:
     if len(controls) == 1:
         return controlled_u2_gates(controls[0], target, u)
     v = sqrt_u2(u)
     last, rest = controls[-1], controls[:-1]
-    mcx = _render_mcx(_mcx_ops(rest, last, pool + (target,)))
+    mcx = shared.mcx(rest, last, pool + (target,))
     gates = controlled_u2_gates(last, target, v)
     gates += mcx
     gates += controlled_u2_gates(last, target, v.conj().T)
     gates += mcx
-    gates += _ck_u2(v, rest, target, pool + (last,))
+    gates += _ck_u2(v, rest, target, pool + (last,), shared)
     return gates
 
 
 def decompose_mcu(controls, target: int, u: np.ndarray) -> list[GateInstance]:
-    """k-controlled U(2) as basis gates, ancilla free, O(k^2) gate count."""
+    """k-controlled U(2) as basis gates, ancilla free, O(k^2) gate count.
+
+    The X networks depend only on the wires: within one call, and within one
+    :func:`compile_circuit` call across all its gates, each is built once and
+    its gate objects reused; the ``sqrt_u2`` rotations are built per gate.
+    """
+    return _decompose_mcu(controls, target, u, _Shared())
+
+
+def _decompose_mcu(controls, target: int, u, shared: _Shared) -> list[GateInstance]:
     controls = tuple(controls)
     if not controls:
         raise ToolkitError("gate-arity-mismatch", "need at least one control wire")
@@ -217,18 +255,21 @@ def decompose_mcu(controls, target: int, u: np.ndarray) -> list[GateInstance]:
     if x_like and len(controls) <= 2:
         if len(controls) == 1:
             return [GateInstance("cnot", controls, (target,))]
-        return toffoli_gates(controls[0], controls[1], target)
-    return _ck_u2(u, controls, target, ())
+        return list(shared(toffoli_gates, controls[0], controls[1], target))
+    return _ck_u2(u, controls, target, (), shared)
 
 
 def compile_circuit(circuit: Circuit) -> Circuit:
     """Rewrite every gate into the basis; returns a new circuit.
 
     The output's ``metadata["global_phase"]`` reconciles it with the input:
-    ``exp(i phase) * U_out == U_in_full`` up to numerical error.
+    ``exp(i phase) * U_out == U_in_full`` up to numerical error.  Every
+    wire-only expansion is built once for the call and its gate objects
+    reused wherever it recurs (module docstring).
     """
     out: list[GateInstance] = []
     phase = circuit.global_phase
+    shared = _Shared()
     for g in circuit.gates:
         kind = g.kind
         if kind in BASIS_KINDS:
@@ -236,23 +277,23 @@ def compile_circuit(circuit: Circuit) -> Circuit:
                 continue
             out.append(g)
         elif kind == "x":
-            out.extend(x_gates(g.targets[0]))
+            out.extend(shared(x_gates, g.targets[0]))
         elif kind == "u2":
             gates, ph = decompose_su2(g.matrix, g.targets[0])
             out.extend(gates)
             phase += ph
         elif kind == "cz":
-            out.extend(cz_gates(g.controls[0], g.targets[0]))
+            out.extend(shared(cz_gates, g.controls[0], g.targets[0]))
         elif kind == "cp":
             out.extend(cp_gates(g.controls[0], g.targets[0], g.angle))
         elif kind == "swap":
-            out.extend(swap_gates(*g.targets))
+            out.extend(shared(swap_gates, *g.targets))
         elif kind == "cswap":
-            out.extend(cswap_gates(g.controls[0], *g.targets))
+            out.extend(shared(cswap_gates, g.controls[0], *g.targets))
         elif kind == "cu2":
             out.extend(controlled_u2_gates(g.controls[0], g.targets[0], g.matrix))
         elif kind == "mcu2":
-            out.extend(decompose_mcu(g.controls, g.targets[0], g.matrix))
+            out.extend(_decompose_mcu(g.controls, g.targets[0], g.matrix, shared))
         else:
             raise ValueError(f"cannot lower gate kind {kind!r}")
     meta = dict(circuit.metadata)

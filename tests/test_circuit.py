@@ -126,6 +126,16 @@ def test_circuit_rejects_out_of_range_wires():
         Circuit(regs, [GateInstance("x", targets=(5,))], {})
 
 
+def test_a_repeated_out_of_range_gate_is_reported_at_its_first_occurrence():
+    regs = RegisterMap.walk(1)
+    ok, low, high = (GateInstance("x", targets=(w,)) for w in (0, 5, 7))
+    for gates, wire in (((ok, low, high, low), 5), ((high, ok, low, high), 7)):
+        with pytest.raises(ToolkitError) as err:
+            Circuit(regs, gates, {})
+        assert err.value.code == "index-out-of-range"
+        assert err.value.message.startswith(f"wire {wire} ")
+
+
 def test_depth_packs_parallel_gates():
     regs = RegisterMap.walk(2)
     gates = [

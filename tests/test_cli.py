@@ -20,7 +20,7 @@ from coinwalk import (
     random_field,
     WalkConfig,
 )
-from coinwalk import linear, naive, shift, statevec, walk, walsh
+from coinwalk import coins, linear, naive, shift, statevec, walk, walsh
 from coinwalk.cli import _make_parser, main
 
 
@@ -236,8 +236,12 @@ def test_shift_verify_past_the_matrix_budget_exits_0(capsys, no_large_matrices):
         (["verify", "--construction", "naive", "--n", "4"], "dense-limit-exceeded"),
         (["verify", "--construction", "walsh", "--n", "4"], "dense-limit-exceeded"),
         (["shift", "--scheme", "qft", "--n", "4", "--verify"], "dense-limit-exceeded"),
+        # 32,782 wires and 2 GiB of bit rows at n=14; the refusal reads n alone
+        (["verify", "--construction", "linear", "--n", "14"], "dense-limit-exceeded"),
+        (["verify", "--construction", "linear", "--n", "24"], "dense-limit-exceeded"),
     ],
-    ids=["linear-walk", "oracle-walk", "verify-naive", "verify-walsh", "shift-verify"],
+    ids=["linear-walk", "oracle-walk", "verify-naive", "verify-walsh", "shift-verify",
+         "verify-linear-14", "verify-linear-24"],
 )
 def test_a_request_refused_for_its_size_exits_2_before_any_coin_is_built(
     tmp_path, monkeypatch, capsys, argv, code
@@ -252,11 +256,13 @@ def test_a_request_refused_for_its_size_exits_2_before_any_coin_is_built(
         # n = 4 puts the walk layout on 5 qubits, over a dense cap of 4
         monkeypatch.setattr(statevec, "DENSE_QUBITS_MAX", 4)
 
-    def refuse(field, *args, **kwargs):
-        raise AssertionError(f"built a coin circuit at n={field.n}")
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"built a coin field or circuit for {argv}")
 
     for module, name in ((naive, "build_naive"), (linear, "build_linear"), (walsh, "build_walsh_coin")):
         monkeypatch.setattr(module, name, refuse)
+    if argv[0] == "verify":  # refused before its field is drawn: 1 GiB of coins at n=24
+        monkeypatch.setattr(coins, "random_field", refuse)
     assert main(argv) == 2
     assert capsys.readouterr().err.count(code) == 1
 

@@ -36,6 +36,18 @@ def test_round_trip_compiled_circuits():
     assert round_trip_error(compile_circuit(build_shift_id(2))) <= 1e-12
 
 
+def test_repeated_gate_objects_emit_the_text_of_fresh_ones():
+    compiled = compile_circuit(build_naive(random_field(3, seed=2)))
+    assert len(dict.fromkeys(compiled.gates)) < len(compiled.gates)
+    fresh = Circuit(
+        compiled.registers,
+        [GateInstance(g.kind, g.controls, g.targets, g.angle, g.matrix, g.label) for g in compiled.gates],
+        dict(compiled.metadata),
+    )
+    assert len(dict.fromkeys(fresh.gates)) == len(fresh.gates)
+    assert to_qasm(fresh) == to_qasm(compiled)
+
+
 def test_header_and_register_lines():
     circuit = compile_circuit(build_shift_qft(2))
     text = to_qasm(circuit)

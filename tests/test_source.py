@@ -3,7 +3,10 @@
 import ast
 import importlib
 import re
+import shutil
 from pathlib import Path
+
+import pytest
 
 import coinwalk
 
@@ -58,6 +61,46 @@ def test_every_export_exists_and_the_package_exports_what_it_imports():
         for alias in node.names
     ]
     assert sorted(coinwalk.__all__) == sorted(imported)
+
+
+_CACHES = {"cache", "lru_cache"}
+
+
+def _functools_caches(folder: Path) -> list[str]:
+    """Every decorator named ``cache`` or ``lru_cache`` (bare, dotted or called),
+    and every ``from functools import`` of either, in a folder's sources."""
+    found = []
+    for path in sorted(folder.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                if _CACHES & {alias.name for alias in node.names}:
+                    found.append(f"{path.name}:{node.lineno}")
+            for dec in getattr(node, "decorator_list", []):
+                named = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(named, "attr", getattr(named, "id", None)) in _CACHES:
+                    found.append(f"{path.name}:{dec.lineno}")
+    return found
+
+
+def test_library_keeps_no_functools_cache():
+    # A lowering memo lives for one call (transpile); a functools cache would
+    # outlive it and make a long-lived process a different program.
+    found = _functools_caches(PACKAGE)
+    assert not found, f"functools caches in the library: {', '.join(found)}"
+
+
+@pytest.mark.parametrize(
+    "imports,decorator",
+    [("import functools", "@functools.lru_cache(maxsize=None)"),
+     ("import functools", "@functools.cache"),
+     ("from functools import cache", "@cache")],
+)
+def test_the_cache_check_fails_a_mutated_copy(tmp_path, imports, decorator):
+    shutil.copy(PACKAGE / "transpile.py", tmp_path)
+    assert _functools_caches(tmp_path) == []
+    source = tmp_path / "transpile.py"
+    source.write_text(f"{source.read_text()}\n{imports}\n\n\n{decorator}\ndef _memo(n):\n    return n\n")
+    assert _functools_caches(tmp_path)
 
 
 def _loaded_names(path: Path) -> set[str]:

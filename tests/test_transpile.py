@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from coinwalk import Circuit, GateInstance, RegisterMap, ToolkitError, euler_factorization, full_unitary
+from coinwalk import (
+    Circuit,
+    GateInstance,
+    RegisterMap,
+    ToolkitError,
+    build_linear,
+    build_naive,
+    euler_factorization,
+    full_unitary,
+    random_field,
+)
 from coinwalk import transpile
 from coinwalk.circuit import BASIS_KINDS
 from coinwalk.statevec import apply_gate, is_unitary
@@ -13,6 +23,7 @@ from coinwalk.transpile import (
     cz_gates,
     decompose_mcu,
     decompose_su2,
+    expand_swaps,
     sqrt_u2,
     swap_gates,
     toffoli_gates,
@@ -245,3 +256,44 @@ def test_gray_code_optimize_rejects_non_walsh_circuits():
     with pytest.raises(ToolkitError) as err:
         gray_code_optimize(tampered)
     assert err.value.code == "not-walsh-form"
+
+
+def per_gate_lowering(circuit):
+    """Each gate compiled in a circuit of its own, so no expansion is shared across gates."""
+    gates, phase = [], circuit.global_phase
+    for g in circuit.gates:
+        alone = compile_circuit(Circuit(circuit.registers, (g,), {}))
+        gates.extend(alone.gates)
+        phase += alone.global_phase
+    return gates, phase
+
+
+def signature(g):
+    return g.kind, g.controls, g.targets, g.angle
+
+
+@pytest.mark.parametrize(
+    "build,n,seed",
+    [(build_naive, n, seed) for n in range(1, 7) for seed in (0, 1)]
+    + [(build_linear, n, 0) for n in range(1, 5)],
+)
+def test_compile_circuit_equals_a_per_gate_lowering(build, n, seed):
+    circuit = build(random_field(n, seed=seed))
+    compiled = compile_circuit(circuit)
+    gates, phase = per_gate_lowering(circuit)
+    assert list(map(signature, compiled.gates)) == list(map(signature, gates))
+    assert compiled.global_phase == phase
+
+
+def test_naive_compile_shares_its_wire_only_networks():
+    # 128 seven-control coin gates share one set of borrowed-wire X networks
+    compiled = compile_circuit(build_naive(random_field(7, seed=0)))
+    assert len(dict.fromkeys(compiled.gates)) <= 15_000 < len(compiled.gates)
+
+
+@pytest.mark.parametrize("lower", [compile_circuit, expand_swaps])
+def test_two_lowering_calls_share_no_gate_object_they_built(lower):
+    circuit = build_linear(random_field(2, seed=0))
+    first, second = lower(circuit), lower(circuit)
+    built = [set(c.gates) - set(circuit.gates) for c in (first, second)]
+    assert built[0] and built[0].isdisjoint(built[1])
