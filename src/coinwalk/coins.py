@@ -74,30 +74,46 @@ def euler_matrix(f0: float, f1: float, f2: float, f3: float) -> np.ndarray:
     )
 
 
-def euler_factorization(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Angles (F0, F1, F2, F3) with ``euler_matrix(*angles) == u``.
+def _not_unitary(u: np.ndarray) -> np.ndarray:
+    """Which 2x2 blocks of a ``(..., 2, 2)`` array miss ``U^H U = I`` by more
+    than :data:`statevec.ATOL_UNITARY` in some entry (a NaN misses)."""
+    gram = np.einsum("...ji,...jk->...ik", u.conj(), u)
+    return ~(np.abs(gram - np.eye(2)).max(axis=(-2, -1)) <= statevec.ATOL_UNITARY)
+
+
+def euler_factorization(u: np.ndarray) -> np.ndarray:
+    """Angles ``(..., 4)``, F0..F3 of each 2x2 block of ``u`` ``(..., 2, 2)``,
+    with ``euler_matrix(*angles) == block``; a single 2x2 unitary is a batch
+    of one and gives four angles.
 
     As ``exp(i f Z) = Rz(-2f)`` and ``exp(i f Y) = Ry(-2f)``, this is also
     ``u = exp(i F0) Rz(-2 F1) Ry(-2 F2) Rz(-2 F3)``, the form the transpiler
     lowers every 2x2 block to.  Branch choices: F0 in (-pi/2, pi/2] from the
     principal argument of ``det u``, F2 in [-pi/2, 0]; when
     ``cos(F2) sin(F2) = 0`` one relative phase is unconstrained and F3 is
-    fixed to 0.
+    fixed to 0.  Every block gets, bit for bit, the angles of the same steps
+    run on its own complex scalars: numpy's complex array product can round
+    differently from the scalar one, so ``det u`` is written out in real
+    arithmetic, and the magnitudes are ``np.hypot``, as a scalar ``abs`` is.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not statevec.is_unitary(u):
-        raise ToolkitError("not-unitary", "euler factorization needs a 2x2 unitary")
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    f0 = 0.5 * float(np.arctan2(det.imag, det.real))
-    v = np.exp(-1j * f0) * u
-    a, b = abs(v[0, 0]), abs(v[1, 0])
-    f2 = -float(np.arctan2(b, a))
-    s, t = float(np.angle(v[0, 0])), float(np.angle(v[1, 0]))
-    if b <= 1e-14:
-        return f0, s, f2, 0.0
-    if a <= 1e-14:
-        return f0, -t, f2, 0.0
-    return f0, (s - t) / 2, f2, (s + t) / 2
+    if u.shape[-2:] != (2, 2) or _not_unitary(u).any():
+        raise ToolkitError("not-unitary", "euler factorization needs 2x2 unitaries")
+    u00, u01, u10, u11 = (u[..., i, j] for i in (0, 1) for j in (0, 1))
+    det_re = (u00.real * u11.real - u00.imag * u11.imag) - (u01.real * u10.real - u01.imag * u10.imag)
+    det_im = (u00.real * u11.imag + u00.imag * u11.real) - (u01.real * u10.imag + u01.imag * u10.real)
+    f0 = 0.5 * np.arctan2(det_im, det_re)
+    v = np.exp(-1j * f0)[..., None] * u[..., 0]  # exp(-i F0) u, column 0
+    v0, v1 = v[..., 0], v[..., 1]
+    a, b = np.hypot(v0.real, v0.imag), np.hypot(v1.real, v1.imag)
+    f2 = -np.arctan2(b, a)
+    s, t = np.arctan2(v0.imag, v0.real), np.arctan2(v1.imag, v1.real)
+    diagonal, anti = b <= 1e-14, a <= 1e-14
+    f1 = np.where(diagonal, s, np.where(anti, -t, (s - t) / 2))
+    f3 = np.where(diagonal | anti, 0.0, (s + t) / 2)
+    angles = np.empty(np.shape(f0) + (4,))
+    angles[..., 0], angles[..., 1], angles[..., 2], angles[..., 3] = f0, f1, f2, f3
+    return angles
 
 
 @dataclass
@@ -114,9 +130,9 @@ class CoinField:
             raise ValueError(
                 f"expected {(1 << self.n, 2, 2)} coin array, got {coins.shape}"
             )
-        for k, c in enumerate(coins):
-            if not statevec.is_unitary(c):
-                raise ToolkitError("not-unitary", f"coin {k} is not unitary")
+        bad = np.flatnonzero(_not_unitary(coins))
+        if bad.size:
+            raise ValueError(f"coin {bad[0]} is not unitary")
         self.coins = coins
 
     def coin(self, k: int) -> np.ndarray:
@@ -124,7 +140,7 @@ class CoinField:
 
     def euler_angles(self) -> np.ndarray:
         """(2^n, 4) array of per-node factorization angles F0..F3."""
-        return np.array([euler_factorization(c) for c in self.coins])
+        return euler_factorization(self.coins)
 
 
 def total_coin_matrix(field: CoinField) -> np.ndarray:

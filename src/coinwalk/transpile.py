@@ -59,7 +59,7 @@ def _rot(kind: str, wire: int, angle: float) -> list[GateInstance]:
 
 def decompose_su2(u: np.ndarray, wire: int) -> tuple[list[GateInstance], float]:
     """One-qubit unitary as Rz/Ry gates plus an explicit scalar phase."""
-    f0, f1, f2, f3 = euler_factorization(u)
+    f0, f1, f2, f3 = euler_factorization(u).tolist()
     gates = _rot("rz", wire, -2 * f3) + _rot("ry", wire, -2 * f2) + _rot("rz", wire, -2 * f1)
     return gates, f0
 
@@ -166,7 +166,7 @@ def expand_swaps(circuit: Circuit) -> Circuit:
 
 def controlled_u2_gates(control: int, target: int, u: np.ndarray) -> list[GateInstance]:
     """Exact singly controlled U(2): ABC conjugation plus P(phase) on the control."""
-    f0, f1, f2, f3 = euler_factorization(u)
+    f0, f1, f2, f3 = euler_factorization(u).tolist()
     cx = GateInstance("cnot", (control,), (target,))
     c_part = _rot("rz", target, f1 - f3)
     b_part = _rot("rz", target, f1 + f3) + _rot("ry", target, f2)

@@ -2,11 +2,14 @@
 
 Any builder's coin circuit (:func:`build_coin`) is collapsed once into its
 ``(2^n, 2, 2)`` coin array (:func:`collapse`, which ``coinwalk verify`` also
-runs).  A walk-layout circuit (naive, Walsh) collapses in one dense pass,
-certified block-diagonal with a seeded random probe; a linear-ancilla one
-collapses exactly, its 2^(n+1) basis inputs run as one sparse batch, with
-every ancilla checked back at |0>.  Each step of the dense walk-layout
-vector is then a batched 2x2 coin followed by the shift circuit.
+runs).  A walk-layout circuit (naive, Walsh) is read gate by gate as parity
+frames, each position wire a parity of the input bits and the coin a Pauli
+frame, with one fast Walsh-Hadamard transform per run of same-axis coin
+rotations; the reading certifies block-diagonality by structure, so its
+residual is 0.  A linear-ancilla one collapses exactly, its 2^(n+1) basis
+inputs run as one sparse batch, with every ancilla checked back at |0>.
+Each step of the dense walk-layout vector is then a batched 2x2 coin
+followed by the shift circuit.
 """
 
 from __future__ import annotations
@@ -187,13 +190,12 @@ def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkRes
 
 
 def _check_truncation(construction: str, truncation: int | None, n: int) -> None:
-    """``ValueError`` unless ``truncation`` is ``None`` or a Walsh order in ``[0, n]``."""
+    """``ValueError`` unless ``truncation`` is ``None`` or a Walsh order (:func:`walsh.check_order`)."""
     if truncation is None:
         return
     if construction != "walsh":
         raise ValueError(f"truncation={truncation} applies only to walsh, not {construction}")
-    if not 0 <= truncation <= n:
-        raise ValueError(f"truncation={truncation} is not in [0, {n}]")
+    walsh_mod.check_order(truncation, n)
 
 
 def build_coin(construction: str, field: CoinField, truncation: int | None = None) -> Circuit:
@@ -219,28 +221,117 @@ def _probe(circuit: Circuit) -> np.ndarray:
     return rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
 
 
+# -- parity frames ---------------------------------------------------------------
+#
+# After each gate of a walk-layout coin circuit, |k>|c> has gone to
+# e^{i phi(k)} |L(k)> F(k) B_k |c>.  Position wire w holds the parity
+# mask[w] . (k, 1): bit p of a mask is bit p of k and bit n the constant 1,
+# so an X gate flips bit n.  F(k) = X^(a . (k, 1)) is the coin's Pauli frame
+# and B_k the block read so far.  A coin rotation R moves through the frame
+# as F R F, the same rotation by +-theta with the sign a parity of k, so a
+# run of rotations about one axis is a Walsh series over k, and so is phi.
+# The builders emit no cz, so the frame needs no Z part.
+
+
+def _not_block_diagonal(why: str) -> ToolkitError:
+    return ToolkitError("coin-not-block-diagonal", why)
+
+
+def _read_frames(circuit: Circuit) -> np.ndarray:
+    """The ``(2^n, 2, 2)`` blocks of a walk-layout coin circuit, read as parity frames.
+
+    The gates read are ``x``, ``cnot`` controlled by a position wire, ``rz``
+    on any wire, ``rx`` and ``ry`` on the coin, and ``cu2``/``mcu2`` on the
+    coin controlled by every position wire, each of which must then hold its
+    own bit of k, so that the gate touches the one node its controls select.
+    Any other gate, or a circuit that does not end with every position wire
+    back to its own bit and the frame the identity, is refused with
+    ``coin-not-block-diagonal``.
+    """
+    n = circuit.registers.n
+    one, low = 1 << n, (1 << n) - 1
+    mask = [0] + [1 << p for p in range(n)]  # wire 1 + p holds bit p of k
+    a = 0
+    phase: dict[int, float] = {}
+    run: dict[int, float] = {}  # the pending rotations about one axis
+    axis = None
+    blocks = np.tile(np.eye(2, dtype=complex), (1 << n, 1, 1))
+
+    def add(series: dict, m: int, angle: float) -> None:
+        """Add the term ``angle * (-1)^(m . (k, 1))`` to a series over k."""
+        series[m & low] = series.get(m & low, 0.0) + (-angle if m & one else angle)
+
+    def summed(series: dict) -> np.ndarray:
+        values = np.zeros(1 << n)
+        values[list(series)] = list(series.values())
+        return walsh_mod._fwht(values)
+
+    def flush() -> None:
+        nonlocal blocks
+        if run:
+            half = summed(run)[:, None, None] / 2
+            pauli = walsh_mod._PAULI[axis[1]]
+            blocks = (np.cos(half) * np.eye(2) - 1j * np.sin(half) * pauli) @ blocks
+            run.clear()
+
+    for index, gate in enumerate(circuit.gates):
+        kind, controls, t = gate.kind, gate.controls, gate.targets[0]
+        if kind in ("rx", "ry", "rz") and t == 0:
+            if kind != axis:
+                flush()
+                axis = kind
+            add(run, 0 if kind == "rx" else a, gate.angle)  # X flips ry and rz, not rx
+        elif kind == "rz":
+            add(phase, mask[t], -gate.angle / 2)
+        elif kind == "x":
+            if t == 0:
+                a ^= one
+            else:
+                mask[t] ^= one
+        elif kind == "cnot" and controls[0] != 0:
+            if t == 0:
+                a ^= mask[controls[0]]
+            else:
+                mask[t] ^= mask[controls[0]]
+        elif kind in ("cu2", "mcu2") and t == 0 and len(controls) == n:
+            node = 0
+            for w in controls:
+                if mask[w] & low != 1 << (w - 1):
+                    raise _not_block_diagonal(
+                        f"gate {index} ({kind}) is controlled by wire {w}, "
+                        "which holds a parity of other position bits")
+                node |= (0 if mask[w] & one else 1) << (w - 1)
+            flush()
+            u = gate.matrix
+            if (a & (node | one)).bit_count() & 1:
+                u = u[::-1, ::-1]  # X u X
+            blocks[node] = u @ blocks[node]
+        else:
+            raise _not_block_diagonal(
+                f"gate {index} ({kind} on wires {gate.wires}) is not a walk-layout coin gate")
+    for w in range(1, n + 1):
+        if mask[w] != 1 << (w - 1):
+            raise _not_block_diagonal(f"position wire {w} does not end holding its own bit")
+    if a:
+        raise _not_block_diagonal("the coin's Pauli frame does not end as the identity")
+    flush()
+    return blocks * np.exp(1j * (summed(phase) + circuit.global_phase))[:, None, None]
+
+
 def collapse(circuit: Circuit) -> tuple[np.ndarray, float]:
     """The ``(2^n, 2, 2)`` coin array a coin circuit applies, and its residual.
 
     A ``linear-ancilla`` circuit collapses exactly (:func:`linear.coin_blocks`).
-    A walk-layout one runs once over the columns ``[coin 0 at every node,
-    coin 1 at every node, z]``, ``z`` a seeded complex Gaussian probe; the
-    residual ``max|U z - blockdiag(coins) z| / max|z|`` certifies (Freivalds)
-    that ``U`` is block-diagonal: any other ``U`` leaves it nonzero with
-    probability one.
+    A walk-layout one is read as parity frames (:func:`_read_frames`), and
+    its residual is 0.0: the reading is exact, and it certifies that the
+    circuit is block-diagonal by its structure, refusing with
+    ``coin-not-block-diagonal`` a circuit it cannot certify.  A walk-layout
+    circuit is still held to the dense vector cap.
     """
     if circuit.registers.layout == "linear-ancilla":
         return linear_mod.coin_blocks(circuit)
-    z = _probe(circuit)
-    block = np.zeros((z.size, 3), dtype=complex)
-    block[0::2, 0] = 1.0
-    block[1::2, 1] = 1.0
-    block[:, 2] = z
-    statevec.circuit_unitary(circuit, block)
-    block *= np.exp(1j * circuit.global_phase)
-    coins = block[:, :2].reshape(-1, 2, 2)  # row 2k+i, column j -> coins[k, i, j]
-    residual = float(np.max(np.abs(block[:, 2] - _apply_coins(coins, z))))
-    return coins, residual / float(np.max(np.abs(z)))
+    statevec.check_dense_vector(circuit.num_wires, "a coin collapse")
+    return _read_frames(circuit), 0.0
 
 
 def shift_deviation(circuit: Circuit) -> float:
@@ -323,17 +414,21 @@ def config_from_json(data) -> WalkConfig:
     )
 
 
+def _json_list(values: list) -> str:
+    """A list of numbers laid out as ``json.dumps(..., indent=1)`` lays out a
+    list one level down, without the pure-Python encoder that ``indent`` selects."""
+    return "[\n  " + ",\n  ".join(map(repr, values)) + "\n ]"
+
+
 def results_to_json(config: WalkConfig, result: WalkResult, tvd_vs_oracle: float | None = None) -> str:
-    payload = {
-        "config": config_to_json(config),
-        "steps": config.steps,
-        "probabilities": [float(p) for p in result.distribution.probabilities],
-    }
+    """The run as JSON: its config, the steps, the final probabilities and any counts and TVD."""
+    head = json.dumps({"config": config_to_json(config), "steps": config.steps}, indent=1)
+    parts = [head[:-2], f'"probabilities": {_json_list(result.distribution.probabilities.tolist())}']
     if result.distribution.counts is not None:
-        payload["counts"] = [int(c) for c in result.distribution.counts]
+        parts.append(f'"counts": {_json_list(result.distribution.counts.tolist())}')
     if tvd_vs_oracle is not None:
-        payload["tvd_vs_oracle"] = tvd_vs_oracle
-    return json.dumps(payload, indent=1)
+        parts.append(f'"tvd_vs_oracle": {json.dumps(tvd_vs_oracle)}')
+    return ",\n ".join(parts) + "\n}"
 
 
 def results_to_csv(result: WalkResult) -> str:

@@ -31,6 +31,7 @@ __all__ = [
     "build_linear_phase",
     "build_walsh",
     "build_walsh_coin",
+    "check_order",
     "derivative_sup_estimate",
     "gray_code_optimize",
     "truncate",
@@ -127,10 +128,17 @@ def walsh_coefficients(samples) -> WalshSeries:
     return WalshSeries(n, coeffs)
 
 
+def check_order(m: int, n: int) -> int:
+    """``m`` if a series over ``n`` position bits may be cut at 2^m terms, 0 to n;
+    ``ValueError`` otherwise."""
+    if not 0 <= m <= n:
+        raise ValueError(f"truncation={m} is not in [0, {n}]")
+    return m
+
+
 def truncate(series: WalshSeries, m: int) -> WalshSeries:
-    """Zero every coefficient with index >= 2^m."""
-    if not 0 <= m <= series.n:
-        raise ToolkitError("index-out-of-range", f"truncation order {m} not in [0, {series.n}]")
+    """Zero every coefficient with index >= 2^m (:func:`check_order`)."""
+    check_order(m, series.n)
     coeffs = series.coefficients.copy()
     coeffs[1 << m :] = 0.0
     return WalshSeries(series.n, coeffs)

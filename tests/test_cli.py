@@ -192,15 +192,14 @@ def test_build_with_a_truncation_for_a_non_walsh_construction_exits_2(
     assert main(argv) == 0
 
 
-def test_broken_coin_spec_maps_to_toolkit_error(tmp_path, capsys):
+def test_broken_coin_spec_is_a_usage_error(tmp_path, capsys):
     spec = json.loads(coin_field_to_json(random_field(1, seed=0)))
-    spec["coins"][0][0] = [9.0, 0.0]  # breaks unitarity
+    spec["coins"][1][0] = [9.0, 0.0]  # breaks unitarity
     path = write_json(tmp_path / "bad.json", spec)
     rc = main(["build", "--construction", "naive", "--coin", path, "--out", str(tmp_path / "x.json")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert "error [not-unitary]" in err
-    assert err.count("not-unitary") == 1
+    assert rc == 2
+    assert capsys.readouterr().err == "error: coin 1 is not unitary\n"
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -314,6 +313,15 @@ def test_verify_fails_a_coin_circuit_with_one_extra_gate(
     monkeypatch.setattr(module, name, with_gate(getattr(module, name), gate_on))
     assert main(["verify", "--construction", construction, "--n", "3", "--seed", "1"]) == 1
     assert "max deviation" in capsys.readouterr().out
+
+
+def test_verify_reports_a_circuit_the_parity_frames_refuse(monkeypatch, capsys):
+    stray = lambda regs: GateInstance("cnot", (regs.position(0),), (regs.coin(),))  # noqa: E731
+    monkeypatch.setattr(walsh, "build_walsh_coin", with_gate(walsh.build_walsh_coin, stray))
+    assert main(["verify", "--construction", "walsh", "--n", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "walsh n=3 seed=0: max deviation inf (tolerance 1.0e-09): "
+        "the coin's Pauli frame does not end as the identity\n")
 
 
 def test_shift_verify_fails_a_tiny_phase(monkeypatch, capsys):

@@ -2,17 +2,22 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coinwalk.walk as walk_module
 from coinwalk import statevec
 from coinwalk import (
+    Circuit,
     GateInstance,
+    RegisterMap,
     ToolkitError,
     WalkConfig,
     build_linear,
@@ -135,6 +140,142 @@ def test_collapse_matches_full_unitary_blocks(n, build):
     got, residual = walk_module.collapse(circuit)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert residual <= 1e-12
+
+
+def dense_probe_blocks(circuit):
+    """The coin blocks of a walk-layout circuit by the dense kernel: its
+    columns for coin 0 and coin 1 at every node, tracked global phase included."""
+    columns = np.zeros((2 << circuit.registers.n, 2), dtype=complex)
+    columns[0::2, 0] = columns[1::2, 1] = 1.0
+    statevec.circuit_unitary(circuit, columns)
+    return np.exp(1j * circuit.global_phase) * columns.reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_parity_frames_match_the_dense_probe(n):
+    field = random_field(n, seed=80 + n)
+    for circuit in (build_naive(field), build_walsh_coin(field), build_walsh_coin(field, m=n // 2)):
+        got, residual = walk_module.collapse(circuit)
+        assert residual == 0.0
+        assert np.max(np.abs(got - dense_probe_blocks(circuit))) <= 1e-12
+
+
+def test_collapse_runs_no_dense_gate_for_naive_or_walsh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk-layout coin collapse ran the dense kernel")
+
+    for name in ("circuit_unitary", "apply_gate", "apply_circuit", "_apply_matrix_inplace"):
+        monkeypatch.setattr(statevec, name, refuse)
+    field = random_field(3, seed=2)
+    for circuit in (build_naive(field), build_walsh_coin(field), build_walsh_coin(field, m=1)):
+        assert walk_module.collapse(circuit)[1] == 0.0
+    for builder in ("naive", "walsh"):
+        walk_module._coin_array(WalkConfig(3, 1, field, coin_builder=builder))
+
+
+def _mutated(build, gate):
+    def built(field):
+        circuit = build(field)
+        return circuit.extended([gate(circuit.registers)])
+
+    return built
+
+
+@pytest.mark.parametrize(
+    "build,gate,why",
+    [
+        (build_walsh_coin, lambda regs: GateInstance("cnot", (regs.position(1),), (regs.coin(),)),
+         "Pauli frame does not end as the identity"),
+        (build_naive, lambda regs: GateInstance("x", (), (regs.position(2),)),
+         "position wire 3 does not end holding its own bit"),
+        (build_walsh_coin, lambda regs: GateInstance("cnot", (regs.position(0),), (regs.position(1),)),
+         "position wire 2 does not end holding its own bit"),
+        (build_walsh_coin, lambda regs: GateInstance("ry", (), (regs.position(0),), 0.3),
+         "gate 135 (ry on wires (1,))"),
+        (build_naive, lambda regs: GateInstance("swap", (), (regs.position(0), regs.position(1))),
+         "gate 46 (swap on wires (1, 2))"),
+        (build_naive, lambda regs: GateInstance("p", (), (regs.position(0),), 0.3),
+         "gate 46 (p on wires (1,))"),
+        (build_naive, lambda regs: GateInstance("u2", (), (regs.coin(),), matrix=np.eye(2)),
+         "gate 46 (u2 on wires (0,))"),
+        (build_naive, lambda regs: GateInstance("cnot", (regs.coin(),), (regs.position(0),)),
+         "gate 46 (cnot on wires (0, 1))"),
+        (build_naive, lambda regs: GateInstance("cz", (regs.position(0),), (regs.coin(),)),
+         "gate 46 (cz on wires (1, 0))"),
+        (build_naive, lambda regs: GateInstance(
+            "mcu2", (regs.position(0), regs.position(1), regs.position(2)), (regs.coin(),),
+            matrix=np.eye(2)), "gate 46 (mcu2 on wires (1, 2, 3, 0))"),
+    ],
+    ids=["unclosed-coin-cnot", "stray-position-x", "unclosed-position-cnot", "ry-on-position",
+         "swap", "p-on-position", "u2-on-coin", "cnot-from-coin", "cz", "mcu2-missing-a-control"],
+)
+def test_parity_frames_refuse_a_mutated_coin_circuit(build, gate, why):
+    circuit = _mutated(build, gate)(random_field(4, seed=3))
+    with pytest.raises(ToolkitError, match=re.escape(why)) as err:
+        walk_module.collapse(circuit)
+    assert err.value.code == "coin-not-block-diagonal"
+
+
+def test_parity_frames_refuse_a_coin_gate_under_a_parity_control():
+    regs = RegisterMap.walk(2)
+    ladder = GateInstance("cnot", (regs.position(0),), (regs.position(1),))
+    coin = GateInstance("mcu2", (regs.position(0), regs.position(1)), (regs.coin(),),
+                        matrix=np.array([[0, 1], [1, 0]]))
+    with pytest.raises(ToolkitError, match="controlled by wire 2, which holds a parity") as err:
+        walk_module.collapse(Circuit(regs, (ladder, coin, ladder), {}))
+    assert err.value.code == "coin-not-block-diagonal"
+
+
+# Hypothesis circuits: frame gates (x, cnot) each undone in reverse order
+# at the end, so every frame closes, with rotations and coin gates between them.
+@st.composite
+def frame_circuits(draw):
+    n = draw(st.integers(1, 4))
+    regs = RegisterMap.walk(n)
+    positions = [regs.position(p) for p in range(n)]
+    wire = st.sampled_from(positions)
+    angle = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+    any_wire = st.sampled_from(positions + [regs.coin()])
+    two_wires = st.lists(any_wire, min_size=2, max_size=2, unique=True)
+    frame_gate = st.one_of(
+        st.builds(lambda w: GateInstance("x", (), (w,)), any_wire),
+        st.builds(lambda ws: GateInstance("cnot", (ws[0],), (ws[1],)),
+                  two_wires.filter(lambda ws: ws[0] != regs.coin())),
+    )
+    payload = st.one_of(
+        st.builds(lambda kind, theta: GateInstance(kind, (), (0,), theta),
+                  st.sampled_from(["rx", "ry", "rz"]), angle),
+        st.builds(lambda w, theta: GateInstance("rz", (), (w,), theta), wire, angle),
+        st.builds(lambda seed: GateInstance(
+            "cu2" if n == 1 else "mcu2", tuple(positions), (0,),
+            matrix=random_field(1, seed=seed).coins[1]), st.integers(0, 1000)),
+    )
+    body = draw(st.lists(st.tuples(st.lists(frame_gate, max_size=3), st.lists(payload, max_size=3)),
+                         max_size=8))
+    gates, frames = [], []
+    for frame, payloads in body:
+        gates += frame + payloads
+        frames += frame
+    gates += frames[::-1]
+    phase = draw(angle)
+    return Circuit(regs, tuple(gates), {"global_phase": phase})
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_circuits())
+def test_parity_frames_read_generated_circuits_exactly(circuit):
+    try:
+        coins, residual = walk_module.collapse(circuit)
+    except ToolkitError as exc:  # an mcu2 met while a control holds a parity
+        assert exc.code == "coin-not-block-diagonal"
+        assert "which holds a parity of other position bits" in exc.message
+        return
+    assert residual == 0.0
+    want = np.zeros((2 << circuit.registers.n,) * 2, dtype=complex)
+    for k, block in enumerate(coins):
+        want[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
+    assert np.max(np.abs(full_unitary(circuit) - want)) <= 1e-12
 
 
 # -- runtime invariants ------------------------------------------------------
@@ -406,6 +547,19 @@ def test_results_json_payload():
     assert payload["config"]["coin_builder"] == "dense-oracle"
     bare = json.loads(results_to_json(config, run(WalkConfig(2, 2, config.field))))
     assert "counts" not in bare and "tvd_vs_oracle" not in bare
+
+
+@pytest.mark.parametrize("shots,tvd_vs_oracle", [(None, None), (50, None), (None, 0.0), (100, 1.25e-17)])
+def test_results_json_is_the_indent_1_document(shots, tvd_vs_oracle):
+    config = WalkConfig(3, 2, random_field(3, seed=1), coin_builder="walsh", shots=shots, seed=4)
+    result = run(config)
+    payload = {"config": config_to_json(config), "steps": 2,
+               "probabilities": result.distribution.probabilities.tolist()}
+    if shots is not None:
+        payload["counts"] = result.distribution.counts.tolist()
+    if tvd_vs_oracle is not None:
+        payload["tvd_vs_oracle"] = tvd_vs_oracle
+    assert results_to_json(config, result, tvd_vs_oracle) == json.dumps(payload, indent=1)
 
 
 def test_results_csv_layout():
