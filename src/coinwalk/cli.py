@@ -99,10 +99,13 @@ def _cmd_verify(args) -> int:
     else:
         statevec.check_dense_vector(n + 1, "the walk layout")
     field = coins.random_field(n, seed=args.seed)
+    circ = walk.build_coin(args.construction, field)
     why = ""
     try:
-        got, residual = walk.collapse(walk.build_coin(args.construction, field))
+        got, residual = walk.collapse(circ)
         deviation = max(float(np.max(np.abs(got - field.coins))), residual)
+        if args.construction != "linear":  # and the circuit simulated against the field
+            deviation = max(deviation, walk.coin_deviation(circ, field.coins))
     except ToolkitError as exc:  # a walk-layout circuit the parity frames refuse
         if exc.code != "coin-not-block-diagonal":
             raise

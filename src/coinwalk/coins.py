@@ -74,13 +74,6 @@ def euler_matrix(f0: float, f1: float, f2: float, f3: float) -> np.ndarray:
     )
 
 
-def _not_unitary(u: np.ndarray) -> np.ndarray:
-    """Which 2x2 blocks of a ``(..., 2, 2)`` array miss ``U^H U = I`` by more
-    than :data:`statevec.ATOL_UNITARY` in some entry (a NaN misses)."""
-    gram = np.einsum("...ji,...jk->...ik", u.conj(), u)
-    return ~(np.abs(gram - np.eye(2)).max(axis=(-2, -1)) <= statevec.ATOL_UNITARY)
-
-
 def euler_factorization(u: np.ndarray) -> np.ndarray:
     """Angles ``(..., 4)``, F0..F3 of each 2x2 block of ``u`` ``(..., 2, 2)``,
     with ``euler_matrix(*angles) == block``; a single 2x2 unitary is a batch
@@ -97,7 +90,7 @@ def euler_factorization(u: np.ndarray) -> np.ndarray:
     arithmetic, and the magnitudes are ``np.hypot``, as a scalar ``abs`` is.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape[-2:] != (2, 2) or _not_unitary(u).any():
+    if u.shape[-2:] != (2, 2) or not np.all(statevec.is_unitary(u)):
         raise ToolkitError("not-unitary", "euler factorization needs 2x2 unitaries")
     u00, u01, u10, u11 = (u[..., i, j] for i in (0, 1) for j in (0, 1))
     det_re = (u00.real * u11.real - u00.imag * u11.imag) - (u01.real * u10.real - u01.imag * u10.imag)
@@ -130,7 +123,7 @@ class CoinField:
             raise ValueError(
                 f"expected {(1 << self.n, 2, 2)} coin array, got {coins.shape}"
             )
-        bad = np.flatnonzero(_not_unitary(coins))
+        bad = np.flatnonzero(~statevec.is_unitary(coins))
         if bad.size:
             raise ValueError(f"coin {bad[0]} is not unitary")
         self.coins = coins
@@ -216,9 +209,20 @@ def dirac_field(
 
 
 def coin_field_to_json(field: CoinField) -> str:
-    """The explicit form, compact: each coin is four ``[re, im]`` pairs, row-major."""
-    coins = np.stack([field.coins.real, field.coins.imag], axis=-1).reshape(-1, 4, 2).tolist()
-    return json.dumps({"n": field.n, "coins": coins})
+    """The explicit form, compact: each coin is four ``[re, im]`` pairs, row-major.
+
+    The text is what ``json.dumps`` writes, but each distinct number (by its
+    bits, so -0.0 keeps its sign) is formatted once: shortest-repr formatting
+    is most of the cost, and a field drawn from a potential repeats entries
+    (the n=10 trapping field has 2,051 distinct numbers of 8,192).  The text
+    is filled in by one format, with no list per coin: a walk result embeds
+    the field, and thousands of small lists set off the garbage collector.
+    """
+    bits = np.stack([field.coins.real, field.coins.imag], axis=-1).reshape(-1).view(np.int64)
+    values, index = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, values.view(float).tolist())), dtype=object)[index]
+    coins = ", ".join(["[[%s, %s], [%s, %s], [%s, %s], [%s, %s]]"] * (1 << field.n)) % tuple(text.tolist())
+    return f'{{"n": {field.n}, "coins": [{coins}]}}'
 
 
 def coin_field_from_json(source: str | dict) -> CoinField:

@@ -82,12 +82,16 @@ def check_document_n(n: int) -> int:
     return n
 
 
-def is_unitary(m: np.ndarray, atol: float = ATOL_UNITARY) -> bool:
+def is_unitary(m: np.ndarray, atol: float = ATOL_UNITARY):
+    """Whether ``U^H U = I`` within ``atol`` in every entry (a NaN misses): a
+    bool for one ``(d, d)`` matrix, a boolean array over the leading axes of a
+    ``(..., d, d)`` stack, and False for anything not square."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         return False
-    eye = np.eye(m.shape[0])
-    return bool(np.max(np.abs(m.conj().T @ m - eye)) <= atol)
+    gram = m.conj().swapaxes(-1, -2) @ m
+    ok = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1)) <= atol
+    return bool(ok) if m.ndim == 2 else ok
 
 
 def _validate_wires(num_qubits: int, targets, controls, dim: int):

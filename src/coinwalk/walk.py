@@ -6,8 +6,10 @@ runs).  A walk-layout circuit (naive, Walsh) is read gate by gate as parity
 frames, each position wire a parity of the input bits and the coin a Pauli
 frame, with one fast Walsh-Hadamard transform per run of same-axis coin
 rotations; the reading certifies block-diagonality by structure, so its
-residual is 0.  A linear-ancilla one collapses exactly, its 2^(n+1) basis
-inputs run as one sparse batch, with every ancilla checked back at |0>.
+residual is 0.  ``coinwalk verify`` also simulates such a circuit on a
+probe vector (:func:`coin_deviation`), a check independent of the reading.
+A linear-ancilla circuit collapses exactly, its 2^(n+1) basis inputs run
+as one sparse batch, with every ancilla checked back at |0>.
 Each step of the dense walk-layout vector is then a batched 2x2 coin
 followed by the shift circuit.
 """
@@ -36,6 +38,7 @@ __all__ = [
     "WalkConfig",
     "WalkResult",
     "build_coin",
+    "coin_deviation",
     "collapse",
     "config_from_json",
     "config_to_json",
@@ -334,9 +337,19 @@ def collapse(circuit: Circuit) -> tuple[np.ndarray, float]:
     return _read_frames(circuit), 0.0
 
 
+def coin_deviation(circuit: Circuit, coins: np.ndarray) -> float:
+    """``max|U z - blockdiag(coins) z| / max|z|`` for a walk-layout coin
+    circuit ``U`` run through the dense kernel on the seeded probe ``z``: a
+    check of ``U`` against ``coins`` by simulation, independent of the
+    parity-frame reading, which any other ``U`` fails with probability one."""
+    z = _probe(circuit)
+    got = np.exp(1j * circuit.global_phase) * statevec.circuit_unitary(circuit, z.copy())
+    return float(np.max(np.abs(got - _apply_coins(coins, z)))) / float(np.max(np.abs(z)))
+
+
 def shift_deviation(circuit: Circuit) -> float:
     """``max|S z - rolls(z)| / max|z|`` for a walk-layout shift circuit ``S``,
-    the probe ``z`` of :func:`collapse` and the shift of :func:`matrix_oracle_run`."""
+    the seeded probe ``z`` and the shift of :func:`matrix_oracle_run`."""
     z = _probe(circuit)
     got = statevec.circuit_unitary(circuit, z.copy())
     return float(np.max(np.abs(got - _shift_rolls(z)))) / float(np.max(np.abs(z)))

@@ -128,12 +128,11 @@ def walsh_coefficients(samples) -> WalshSeries:
     return WalshSeries(n, coeffs)
 
 
-def check_order(m: int, n: int) -> int:
-    """``m`` if a series over ``n`` position bits may be cut at 2^m terms, 0 to n;
-    ``ValueError`` otherwise."""
+def check_order(m: int, n: int) -> None:
+    """``ValueError`` unless a series over ``n`` position bits may be cut at
+    2^m terms, ``0 <= m <= n``."""
     if not 0 <= m <= n:
         raise ValueError(f"truncation={m} is not in [0, {n}]")
-    return m
 
 
 def truncate(series: WalshSeries, m: int) -> WalshSeries:

@@ -324,6 +324,17 @@ def test_verify_reports_a_circuit_the_parity_frames_refuse(monkeypatch, capsys):
         "the coin's Pauli frame does not end as the identity\n")
 
 
+@pytest.mark.parametrize("construction,module,name", [("naive", naive, "build_naive"),
+                                                      ("walsh", walsh, "build_walsh_coin")])
+def test_verify_simulates_the_coin_circuit_besides_reading_it(monkeypatch, construction, module, name):
+    # A reading that returned the field's own coins must not pass a changed circuit.
+    monkeypatch.setattr(walk, "collapse", lambda circuit: (random_field(3, seed=1).coins, 0.0))
+    assert main(["verify", "--construction", construction, "--n", "3", "--seed", "1"]) == 0
+    tiny_rz = lambda regs: GateInstance("rz", (), (regs.coin(),), 1e-6)  # noqa: E731
+    monkeypatch.setattr(module, name, with_gate(getattr(module, name), tiny_rz))
+    assert main(["verify", "--construction", construction, "--n", "3", "--seed", "1"]) == 1
+
+
 def test_shift_verify_fails_a_tiny_phase(monkeypatch, capsys):
     monkeypatch.setattr(
         shift, "build_shift_qft",

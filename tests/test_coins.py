@@ -170,6 +170,17 @@ def test_json_round_trip_explicit():
     assert np.array_equal(back.coins, field.coins)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [random_field(5, seed=1), dirac_field(10, 1.0, 0.5, 1.0, 50.0), identity_field(2),
+     CoinField(1, -np.array([[[1, -0.0], [0.0, 1]], [[-0.0, 1], [1, 0]]], dtype=complex))],
+    ids=["random", "trap", "identity", "signed-zeros"],
+)
+def test_explicit_json_is_the_json_dumps_text(field):
+    pairs = np.stack([field.coins.real, field.coins.imag], axis=-1).reshape(-1, 4, 2).tolist()
+    assert coin_field_to_json(field) == json.dumps({"n": field.n, "coins": pairs})
+
+
 def test_json_parametric_forms():
     by_seed = coin_field_from_json({"n": 2, "kind": "k-params", "seed": 3})
     assert np.array_equal(by_seed.coins, random_field(2, seed=3).coins)
