@@ -16,6 +16,15 @@ layer where all of its wires are free.  Layering never reorders gates.  SWAP
 and controlled-SWAP occupy three layers (the block convention) and every
 other gate one; ``depth(transpile.expand_swaps(c))`` layers the circuit
 with SWAP/CSWAP rewritten into their CNOT-basis realizations instead.
+
+Every whole-circuit pass does its per-gate work once per distinct gate
+object: the wire check, :func:`depth`, :func:`gate_counts`,
+:func:`circuit_to_json` and ``qasm.to_qasm`` read or format a gate the first
+time it occurs and reuse that wherever the same object recurs.  A compiled
+circuit reuses the objects of its shared networks, and
+:func:`circuit_from_json` gives identical gate records one shared object, so
+a document of tens of thousands of gates costs a pass over its few thousand
+distinct ones.  Every result is the same as a pass gate by gate.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 import numpy as np
@@ -271,35 +281,74 @@ _BLOCK_WEIGHT = {"swap": 3, "cswap": 3}
 
 
 def depth(circuit: Circuit) -> int:
-    """ASAP layer count in the block convention of the module docstring."""
+    """ASAP layer count in the block convention of the module docstring.
+
+    Each distinct gate object's wires and weight are read once; the layering
+    loop then takes one-wire and two-wire gates without building a tuple.
+    A wire's free layer only grows, so the depth is the largest of them.
+    """
+    layering = {}
+    for g in dict.fromkeys(circuit.gates):
+        wires, weight = g.wires, _BLOCK_WEIGHT.get(g.kind, 1)
+        if len(wires) == 1:
+            layering[g] = (wires[0], None, weight)
+        elif len(wires) == 2:
+            layering[g] = (wires[0], wires[1], weight)
+        else:
+            layering[g] = (None, wires, weight)
     free = [0] * circuit.num_wires
-    total = 0
-    for g in circuit.gates:
-        start = max((free[w] for w in g.wires), default=0)
-        end = start + _BLOCK_WEIGHT.get(g.kind, 1)
-        for w in g.wires:
-            free[w] = end
-        total = max(total, end)
-    return total
+    for a, b, weight in map(layering.__getitem__, circuit.gates):
+        if b is None:
+            free[a] += weight
+        elif a is not None:
+            fa, fb = free[a], free[b]
+            free[a] = free[b] = (fa if fa > fb else fb) + weight
+        else:
+            end = max([free[w] for w in b]) + weight
+            for w in b:
+                free[w] = end
+    return max(free, default=0)
 
 
 def gate_counts(circuit: Circuit) -> dict[str, int]:
-    return dict(Counter(g.kind for g in circuit.gates))
+    """Gates of each kind, the kinds in order of first occurrence."""
+    counts: dict[str, int] = {}
+    for g, count in Counter(circuit.gates).items():
+        counts[g.kind] = counts.get(g.kind, 0) + count
+    return counts
 
 
-def _gate_to_dict(g: GateInstance) -> dict:
-    d: dict = {"kind": g.kind}
+def _json_scalar(value) -> str:
+    """``value`` as ``json.dumps`` writes it: a float by ``float.__repr__``,
+    a string by the ASCII escaper, anything else by ``json.dumps`` itself."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)
+
+
+def _gate_text(g: GateInstance) -> str:
+    """One gate record as ``json.dumps(..., indent=1)`` writes it in the gate list."""
+    fields = [f'  {{\n   "kind": {_json_scalar(g.kind)}']
     if g.controls:
-        d["controls"] = list(g.controls)
+        fields.append('   "controls": [\n    ' + ",\n    ".join(map(str, g.controls)) + "\n   ]")
     if g.targets:
-        d["targets"] = list(g.targets)
+        fields.append('   "targets": [\n    ' + ",\n    ".join(map(str, g.targets)) + "\n   ]")
     if g.angle is not None:
-        d["angle"] = g.angle
+        fields.append(f'   "angle": {_json_scalar(g.angle)}')
     if g.matrix is not None:
-        d["matrix"] = [[[float(z.real), float(z.imag)] for z in row] for row in g.matrix]
+        rows = (
+            "    [\n" + ",\n".join(
+                f"     [\n      {float.__repr__(re)},\n      {float.__repr__(im)}\n     ]"
+                for re, im in zip(re_row, im_row)
+            ) + "\n    ]"
+            for re_row, im_row in zip(g.matrix.real.tolist(), g.matrix.imag.tolist())
+        )
+        fields.append('   "matrix": [\n' + ",\n".join(rows) + "\n   ]")
     if g.label is not None:
-        d["label"] = g.label
-    return d
+        fields.append(f'   "label": {_json_scalar(g.label)}')
+    return ",\n".join(fields) + "\n  }"
 
 
 def _gate_from_dict(d) -> GateInstance:
@@ -325,14 +374,25 @@ def _wires_from_list(wires, what: str) -> tuple[int, ...]:
 
 
 def circuit_to_json(circuit: Circuit) -> str:
-    payload = {
+    """The circuit document, the same text as ``json.dumps(..., indent=1)``.
+
+    ``json.dumps`` writes the header (format, n, layout, metadata); each
+    distinct gate object's record is formatted once, as that encoder would
+    (floats by ``float.__repr__``, strings ASCII-escaped), and the records
+    are joined into the gate list.
+    """
+    header = json.dumps({
         "format": "coinwalk-circuit/1",
         "n": circuit.registers.n,
         "layout": circuit.registers.layout,
         "metadata": _jsonable_metadata(circuit.metadata),
-        "gates": [_gate_to_dict(g) for g in circuit.gates],
-    }
-    return json.dumps(payload, indent=1)
+        "gates": [],
+    }, indent=1)
+    if not circuit.gates:
+        return header
+    text_of = {g: _gate_text(g) for g in dict.fromkeys(circuit.gates)}
+    # the header ends '"gates": []\n}'; the records go between the brackets
+    return header[:-4] + "[\n" + ",\n".join(map(text_of.__getitem__, circuit.gates)) + "\n ]\n}"
 
 
 def _jsonable_metadata(meta: dict) -> dict:
@@ -347,14 +407,40 @@ def _jsonable_metadata(meta: dict) -> dict:
     return out
 
 
+def _gates_from_list(records) -> tuple[GateInstance, ...]:
+    """Each gate record read once: identical records share one gate.
+
+    A record is keyed by its ``repr``, which tells ``1``, ``1.0``, ``True``,
+    ``"1"`` and ``-0.0`` from ``0.0`` apart; only a record read without error
+    is kept, so the first bad record raises as it would alone.  A record
+    with a matrix is read on its own.
+    """
+    read: dict[str, GateInstance] = {}
+    gates = []
+    for d in checked(records, list, "gates"):
+        if type(d) is dict and d.get("matrix") is None:
+            key = repr(d)
+            g = read.get(key)
+            if g is None:
+                g = read[key] = _gate_from_dict(d)
+        else:
+            g = _gate_from_dict(d)
+        gates.append(g)
+    return tuple(gates)
+
+
 def circuit_from_json(text: str) -> Circuit:
-    """Read a circuit document; ``ValueError`` if it is malformed."""
+    """Read a circuit document; ``ValueError`` if it is malformed.
+
+    Identical gate records are read once and share one :class:`GateInstance`,
+    as a compiled circuit's repeated gates do (:func:`_gates_from_list`).
+    """
     payload = checked(json.loads(text), dict, "a circuit document")
     if payload.get("format") != "coinwalk-circuit/1":
         raise ValueError("not a coinwalk circuit document")
     n = statevec.check_document_n(checked(payload.get("n"), int, "n"))
     registers = RegisterMap.for_layout(payload.get("layout"), n)
-    gates = tuple(_gate_from_dict(d) for d in checked(payload.get("gates"), list, "gates"))
+    gates = _gates_from_list(payload.get("gates"))
     meta = checked(payload.get("metadata", {}), dict, "metadata")
     checked(meta.get("global_phase", 0.0), float, "metadata.global_phase")
     walsh = meta.get("walsh")

@@ -21,7 +21,9 @@ borrowed-wire X networks) are built once per :func:`compile_circuit` or
 immutable :class:`GateInstance` objects, so the naive coin's 2^n gates with
 one set of controls share one set of networks.  Only the angle-bearing parts
 (``controlled_u2_gates``, ``sqrt_u2``, ``decompose_su2``) are built per
-gate.  The memo lives for one call; two calls share no gate object.
+gate; a k-controlled gate takes its ``sqrt_u2`` chain first and factors its
+2k-1 blocks in one batch.  The memo lives for one call; two calls share no
+gate object.
 """
 
 from __future__ import annotations
@@ -166,7 +168,12 @@ def expand_swaps(circuit: Circuit) -> Circuit:
 
 def controlled_u2_gates(control: int, target: int, u: np.ndarray) -> list[GateInstance]:
     """Exact singly controlled U(2): ABC conjugation plus P(phase) on the control."""
-    f0, f1, f2, f3 = euler_factorization(u).tolist()
+    return _abc_gates(control, target, euler_factorization(u).tolist())
+
+
+def _abc_gates(control: int, target: int, angles) -> list[GateInstance]:
+    """:func:`controlled_u2_gates` from the block's ``euler_factorization`` angles."""
+    f0, f1, f2, f3 = angles
     cx = GateInstance("cnot", (control,), (target,))
     c_part = _rot("rz", target, f1 - f3)
     b_part = _rot("rz", target, f1 + f3) + _rot("ry", target, f2)
@@ -221,17 +228,26 @@ def _mcx_ops(controls, target, pool):
 
 
 def _ck_u2(u, controls, target, pool, shared: _Shared) -> list[GateInstance]:
-    if len(controls) == 1:
-        return controlled_u2_gates(controls[0], target, u)
-    v = sqrt_u2(u)
-    last, rest = controls[-1], controls[:-1]
-    mcx = shared.mcx(rest, last, pool + (target,))
-    gates = controlled_u2_gates(last, target, v)
-    gates += mcx
-    gates += controlled_u2_gates(last, target, v.conj().T)
-    gates += mcx
-    gates += _ck_u2(v, rest, target, pool + (last,), shared)
-    return gates
+    """C^k(u): each level peels its last control through ``v = sqrt`` of the
+    level above, between two borrowed-wire X networks; the last control left
+    takes the deepest root.  The ``sqrt_u2`` chain is taken first and its
+    2k-1 blocks are factored in one :func:`euler_factorization` call."""
+    k = len(controls)
+    roots = [u]
+    for _ in range(k - 1):
+        roots.append(sqrt_u2(roots[-1]))
+    blocks = [block for v in roots[1:] for block in (v, v.conj().T)] + [roots[-1]]
+    angles = euler_factorization(np.array(blocks)).tolist()
+    gates: list[GateInstance] = []
+    for level in range(k - 1):
+        last, rest = controls[k - 1 - level], controls[: k - 1 - level]
+        mcx = shared.mcx(rest, last, pool + (target,))
+        gates += _abc_gates(last, target, angles[2 * level])
+        gates += mcx
+        gates += _abc_gates(last, target, angles[2 * level + 1])
+        gates += mcx
+        pool += (last,)
+    return gates + _abc_gates(controls[0], target, angles[-1])
 
 
 def decompose_mcu(controls, target: int, u: np.ndarray) -> list[GateInstance]:

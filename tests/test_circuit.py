@@ -1,5 +1,10 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinwalk import (
     Circuit,
@@ -13,6 +18,8 @@ from coinwalk import (
     full_unitary,
     gate_counts,
 )
+from coinwalk import build_naive, build_walsh_coin, compile_circuit, euler_matrix, random_field
+from coinwalk.circuit import GATE_KINDS
 from coinwalk.transpile import expand_swaps
 
 
@@ -194,3 +201,114 @@ def test_circuit_json_round_trip_preserves_unitary_and_metadata():
     assert back.metadata["walsh"]["terms"] == [(1, 0.5)]
     assert back.gates[0].label == "c0"
     assert back.registers == regs
+
+
+# -- oracles: the circuit passes as they were written gate by gate ----------
+
+
+def json_oracle(circuit):
+    """The document through ``json.dumps(..., indent=1)``, every gate its own dict."""
+    def gate_dict(g):
+        d = {"kind": g.kind}
+        if g.controls:
+            d["controls"] = list(g.controls)
+        if g.targets:
+            d["targets"] = list(g.targets)
+        if g.angle is not None:
+            d["angle"] = g.angle
+        if g.matrix is not None:
+            d["matrix"] = [[[float(z.real), float(z.imag)] for z in row] for row in g.matrix]
+        if g.label is not None:
+            d["label"] = g.label
+        return d
+
+    return json.dumps({
+        "format": "coinwalk-circuit/1",
+        "n": circuit.registers.n,
+        "layout": circuit.registers.layout,
+        "metadata": circuit.metadata,
+        "gates": [gate_dict(g) for g in circuit.gates],
+    }, indent=1)
+
+
+def depth_oracle(circuit):
+    """ASAP layering gate by gate, SWAP and CSWAP three layers."""
+    free = [0] * circuit.num_wires
+    total = 0
+    for g in circuit.gates:
+        start = max((free[w] for w in g.wires), default=0)
+        end = start + (3 if g.kind in ("swap", "cswap") else 1)
+        for w in g.wires:
+            free[w] = end
+        total = max(total, end)
+    return total
+
+
+def counts_oracle(circuit):
+    return dict(Counter(g.kind for g in circuit.gates))
+
+
+SIGNED_ZEROS = [np.array([[1, 0], [0, -1]], dtype=complex) * -1, np.array([[0, 1], [1, 0]], dtype=complex) * -1j]
+ANGLES = st.sampled_from([0.0, -0.0, 1e-300, -5e-324, 1e300, np.pi]) | st.floats(-10, 10) | st.integers(-3, 3)
+LABELS = st.none() | st.text(max_size=5) | st.sampled_from(['"', "\\", "\n", "\u00e9", "\u2603", "\U0001f600", "\x7f"])
+
+
+@st.composite
+def gates_on(draw, num_wires):
+    kind = draw(st.sampled_from(sorted(k for k, (c, t, _) in GATE_KINDS.items() if (c is None) + (c or 0) + t <= num_wires)))
+    n_ctl, n_tgt, payload = GATE_KINDS[kind]
+    if n_ctl is None:
+        n_ctl = draw(st.integers(1, num_wires - n_tgt))
+    wires = draw(st.permutations(range(num_wires)))[: n_ctl + n_tgt]
+    angle = draw(ANGLES) if payload == "angle" else None
+    matrix = None
+    if payload == "matrix":
+        matrix = draw(st.sampled_from(SIGNED_ZEROS) | st.tuples(*[st.floats(-4, 4)] * 4).map(lambda f: euler_matrix(*f)))
+    return GateInstance(kind, wires[:n_ctl], wires[n_ctl:], angle, matrix, draw(LABELS))
+
+
+@st.composite
+def circuits(draw):
+    registers = draw(st.sampled_from([RegisterMap.walk(1), RegisterMap.walk(3), RegisterMap.linear(1)]))
+    pool = draw(st.lists(gates_on(registers.num_wires), min_size=1, max_size=8))
+    # positions drawn from a small pool, so gate objects recur
+    gates = draw(st.lists(st.sampled_from(pool), max_size=30))
+    metadata = draw(st.fixed_dictionaries({}, optional={
+        "builder": LABELS, "global_phase": st.floats(-4, 4), "note": st.lists(st.integers(), max_size=3),
+    }))
+    return Circuit(registers, gates, metadata)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits())
+def test_circuit_passes_equal_their_gate_by_gate_oracles(circ):
+    text = circuit_to_json(circ)
+    assert text == json_oracle(circ)
+    assert depth(circ) == depth_oracle(circ)
+    assert depth(expand_swaps(circ)) == depth_oracle(expand_swaps(circ))
+    counts = gate_counts(circ)
+    assert counts == counts_oracle(circ) and list(counts) == list(counts_oracle(circ))
+    # the reader gives each gate back exactly (an integer angle as its float),
+    # and identical records without a matrix one object
+    back = circuit_from_json(text)
+    assert list(map(exact, back.gates)) == list(map(exact, circ.gates))
+    shared = [{g for g in c.gates if g.matrix is None} for c in (back, circ)]
+    assert len(shared[0]) <= len(shared[1])
+
+
+def exact(g):
+    angle = None if g.angle is None else repr(float(g.angle))
+    matrix = None if g.matrix is None else g.matrix.tobytes()
+    return g.kind, g.controls, g.targets, angle, matrix, g.label
+
+
+@pytest.mark.parametrize("circ", [
+    compile_circuit(build_naive(random_field(4, seed=0))),
+    build_walsh_coin(random_field(6, seed=1)),
+    compile_circuit(build_walsh_coin(random_field(6, seed=1))),
+    Circuit(RegisterMap.walk(2), [], {}),
+], ids=["compiled-naive-4", "walsh-6", "compiled-walsh-6", "empty"])
+def test_built_circuits_equal_their_gate_by_gate_oracles(circ):
+    assert circuit_to_json(circ) == json_oracle(circ)
+    assert depth(circ) == depth_oracle(circ)
+    assert gate_counts(circ) == counts_oracle(circ)

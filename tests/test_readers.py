@@ -1,6 +1,7 @@
 """Malformed input documents raise ValueError or ToolkitError, never another error."""
 
 import copy
+import itertools
 import json
 
 import numpy as np
@@ -330,6 +331,100 @@ def test_readers_still_read_their_writers():
     assert back.metadata["walsh"]["terms"] == [(1, 0.5)]
     for doc in coin_docs():
         assert coin_field_from_json(json.dumps(doc)).n == 1
+
+
+def test_identical_gate_records_share_one_gate():
+    doc = circuit_doc()
+    doc["gates"] += copy.deepcopy(doc["gates"])
+    gates = circuit_from_json(json.dumps(doc)).gates
+    assert gates[0] is gates[3] and gates[1] is gates[4]
+    assert gates[0] is not gates[1]
+    assert np.array_equal(gates[2].matrix, gates[5].matrix)
+
+
+def read_outcome(doc):
+    """The gates a document reads to, or the type and text of its error."""
+    try:
+        return circuit_from_json(json.dumps(doc)).gates
+    except (ValueError, ToolkitError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "field,first,second",
+    [
+        ("angle", 1.0, True), ("angle", 1, True), ("angle", 1, "1"), ("angle", 0.5, [0.5]),
+        ("angle", 0.5, 10**400), ("targets", [2], [2.0]), ("targets", [1], [True]),
+        ("targets", [2], ["2"]), ("kind", "rz", ["rz"]),
+    ],
+)
+def test_a_record_equal_to_a_read_one_but_for_a_type_is_read_on_its_own(field, first, second):
+    doc = circuit_doc()
+    rz = doc["gates"][1]
+    doc["gates"] = [dict(rz, **{field: first}), dict(rz, **{field: second})]
+    outcome = read_outcome(doc)
+    assert outcome[0] is ValueError
+    assert outcome == read_outcome(dict(doc, gates=doc["gates"][1:]))
+
+
+def test_an_angle_past_the_float_range_is_a_value_error_not_an_overflow():
+    doc = circuit_doc()
+    for gates in ([dict(doc["gates"][1], angle=10**400)], [doc["gates"][1], dict(doc["gates"][1], angle=10**400)]):
+        with pytest.raises(ValueError) as err:
+            circuit_from_json(json.dumps(dict(doc, gates=gates)))
+        assert type(err.value) is ValueError and "a gate angle" in str(err.value)
+
+
+def test_records_equal_as_numbers_keep_their_own_values():
+    doc = circuit_doc()
+    rz = doc["gates"][1]
+    doc["gates"] = [dict(rz, angle=a) for a in (0.0, -0.0, 1, 1.0)]
+    angles = [g.angle for g in circuit_from_json(json.dumps(doc)).gates]
+    assert list(map(repr, angles)) == ["0.0", "-0.0", "1.0", "1.0"]
+    assert all(type(a) is float for a in angles)
+
+
+RECORD_VALUES = {
+    "kind": st.sampled_from(["rz", "x", "cnot", 1]),
+    "targets": st.sampled_from([[0], [1], [1.0], [True], ["1"], [0, 1]]),
+    "controls": st.sampled_from([[2], [2.0], [False], []]),
+    "angle": st.sampled_from([None, 1, 1.0, True, "1", 0.0, -0.0, 10**400, [1], float("nan")]),
+    "label": st.sampled_from([None, "a", "\u00e9", "\"", 1]),
+}
+
+
+@st.composite
+def gate_records(draw):
+    """Gate records, each one field away from an earlier one, so near twins are common."""
+    records = [draw(st.sampled_from([
+        {"kind": "rz", "targets": [1], "angle": 1},
+        {"kind": "rz", "targets": [0], "angle": -0.0, "label": "a"},
+        {"kind": "cnot", "controls": [2], "targets": [1]},
+    ]))]
+    for _ in range(draw(st.integers(1, 5))):
+        key = draw(st.sampled_from(sorted(RECORD_VALUES)))
+        records.append(dict(draw(st.sampled_from(records)), **{key: draw(RECORD_VALUES[key])}))
+    return draw(st.permutations(records))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_records())
+def test_a_document_reads_as_its_records_read_one_by_one(records):
+    doc = circuit_doc()
+    whole = read_outcome(dict(doc, gates=records))
+    alone = [read_outcome(dict(doc, gates=[r])) for r in records]
+    failed = [o for o in alone if not isinstance(o[0], GateInstance)]
+    if failed:
+        assert whole == failed[0]
+        return
+    assert [exact(g) for g in whole] == [exact(o[0]) for o in alone]
+    for i, j in itertools.combinations(range(len(records)), 2):
+        if json.dumps(records[i]) == json.dumps(records[j]):
+            assert whole[i] is whole[j]
+
+
+def exact(g):
+    return g.kind, g.controls, g.targets, repr(g.angle), type(g.angle), g.label
 
 
 # Integers stay small: under DOCUMENT_N_MAX a document's n still sizes what

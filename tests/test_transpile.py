@@ -297,3 +297,33 @@ def test_two_lowering_calls_share_no_gate_object_they_built(lower):
     first, second = lower(circuit), lower(circuit)
     built = [set(c.gates) - set(circuit.gates) for c in (first, second)]
     assert built[0] and built[0].isdisjoint(built[1])
+
+
+def per_level_mcu(u, controls, target, pool=(), shared=None):
+    """C^k(u) level by level, one ``controlled_u2_gates`` call (one factorization) per block."""
+    shared = transpile._Shared() if shared is None else shared
+    if len(controls) == 1:
+        return controlled_u2_gates(controls[0], target, u)
+    v = sqrt_u2(u)
+    last, rest = controls[-1], controls[:-1]
+    mcx = list(shared.mcx(rest, last, pool + (target,)))
+    return (
+        controlled_u2_gates(last, target, v) + mcx
+        + controlled_u2_gates(last, target, v.conj().T) + mcx
+        + per_level_mcu(v, rest, target, pool + (last,), shared)
+    )
+
+
+def exact_signature(g):
+    return g.kind, g.controls, g.targets, None if g.angle is None else repr(g.angle)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompose_mcu_factors_its_blocks_in_one_batch_bit_for_bit(k, seed):
+    u = random_u2(seed) if seed else X
+    if np.array_equal(u, X) and k <= 2:
+        u = random_u2(99)
+    controls = tuple(range(1, k + 1))
+    got = decompose_mcu(controls, 0, u)
+    assert list(map(exact_signature, got)) == list(map(exact_signature, per_level_mcu(u, controls, 0)))
