@@ -82,7 +82,6 @@ from .walsh import (
     unwrap_angles,
     walsh_coefficients,
     walsh_function,
-    walsh_product_gates,
 )
 
 __version__ = "0.1.0"
@@ -151,6 +150,5 @@ __all__ = [
     "WalkResult",
     "walsh_coefficients",
     "walsh_function",
-    "walsh_product_gates",
     "WalshSeries",
 ]

@@ -49,18 +49,23 @@ def dyadic_coordinate(k: int, n: int) -> float:
     return bit_reversal(k, n) / (1 << n)
 
 
-def coin_from_k_params(alpha: float, theta: float, phi: float, lam: float) -> np.ndarray:
-    """General U(2) coin in the (alpha, theta, phi, lambda) parametrization.
+def coin_from_k_params(alpha, theta, phi, lam) -> np.ndarray:
+    """General U(2) coins in the (alpha, theta, phi, lambda) parametrization.
 
+    The four parameters broadcast against each other, shape ``S``, and the
+    coins come back as a ``(*S, 2, 2)`` stack; four scalars are a batch of
+    one and give one 2x2 coin.  Each entry is the same expression for every
+    shape, so a batch is bit for bit its rows made one at a time.
     ``coin_from_k_params(0, pi, 0, 0)`` is ``[[0, -1], [1, 0]]``.
     """
+    alpha, theta, phi, lam = (np.asarray(v, dtype=float) for v in (alpha, theta, phi, lam))
     c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.exp(1j * alpha) * np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
-        ]
-    )
+    out = np.empty(np.broadcast(alpha, theta, phi, lam).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -np.exp(1j * lam) * s
+    out[..., 1, 0] = np.exp(1j * phi) * s
+    out[..., 1, 1] = np.exp(1j * (phi + lam)) * c
+    return np.exp(1j * alpha)[..., None, None] * out
 
 
 def euler_matrix(f0: float, f1: float, f2: float, f3: float) -> np.ndarray:
@@ -162,8 +167,7 @@ def random_field(n: int, seed: int) -> CoinField:
             rng.uniform(-np.pi, np.pi, 1 << n),
         ]
     )
-    coins = np.array([coin_from_k_params(*row) for row in angles])
-    return CoinField(n, coins, {"kind": "k-params", "angles": angles.tolist(), "seed": seed})
+    return CoinField(n, coin_from_k_params(*angles.T), {"kind": "k-params", "angles": angles.tolist(), "seed": seed})
 
 
 def _harmonic(x: np.ndarray, v0: float) -> np.ndarray:
@@ -240,8 +244,7 @@ def coin_field_from_json(source: str | dict) -> CoinField:
             angles = float_array(obj["angles"], "angles")
             if angles.shape != (1 << n, 4):
                 raise ValueError(f"expected {(1 << n, 4)} angles, got {angles.shape}")
-            coins = np.array([coin_from_k_params(*row) for row in angles])
-            return CoinField(n, coins, {"kind": "k-params", "angles": angles.tolist()})
+            return CoinField(n, coin_from_k_params(*angles.T), {"kind": "k-params", "angles": angles.tolist()})
         return random_field(n, checked(obj.get("seed"), int, "seed"))
     if kind == "dirac":
         return dirac_field(

@@ -45,9 +45,9 @@ from coinwalk import (
     total_coin_matrix,
     truncate,
     walsh_coefficients,
-    walsh_product_gates,
 )
 from coinwalk.cli import main as cli_main
+from test_walsh import walsh_product_gates
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

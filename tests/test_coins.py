@@ -61,6 +61,32 @@ def test_coin_from_k_params_reference_points():
     assert c[0, 0] == pytest.approx(np.exp(0.5j) * np.cos(0.55))
 
 
+def scalar_k_params_coin(alpha, theta, phi, lam):
+    """One coin from four scalars, the entries written as a nested list."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.exp(1j * alpha) * np.array(
+        [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]]
+    )
+
+
+def test_coin_from_k_params_batch_is_bit_identical_to_single_coins():
+    rng = np.random.default_rng(2024)
+    rows = rng.uniform(-10.0, 10.0, size=(20_000, 4))
+    edges = np.array([0.0, -0.0, np.pi, -np.pi, 1e-300, -1e-300])
+    grid = np.stack(np.meshgrid(edges, edges, edges, edges), axis=-1).reshape(-1, 4)
+    rows = np.vstack([rows, grid])
+    batch = coin_from_k_params(*rows.T)
+    assert batch.shape == (len(rows), 2, 2)
+    scalar = np.array([scalar_k_params_coin(*row) for row in rows])
+    assert np.array_equal(batch.view(np.uint64), scalar.view(np.uint64))
+    for row, coin in zip(rows[::997], batch[::997]):
+        one = coin_from_k_params(*row)
+        assert one.shape == (2, 2)
+        assert np.array_equal(one.view(np.uint64), coin.view(np.uint64))
+    grid_batch = coin_from_k_params(*rows.T.reshape(4, -1, 8))
+    assert np.array_equal(grid_batch.reshape(-1, 2, 2).view(np.uint64), batch.view(np.uint64))
+
+
 angle = st.floats(-np.pi, np.pi, allow_nan=False)
 
 

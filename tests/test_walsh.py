@@ -1,5 +1,8 @@
 """Walsh series: transform, truncation, and exponential circuit emission."""
 
+from collections import Counter
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from coinwalk import (
     build_walsh,
     build_walsh_coin,
     circuit_unitary,
+    compile_circuit,
     derivative_sup_estimate,
     dirac_field,
     dyadic_coordinate,
@@ -27,7 +31,6 @@ from coinwalk import (
     unwrap_angles,
     walsh_coefficients,
     walsh_function,
-    walsh_product_gates,
 )
 
 _PAULI = {
@@ -36,6 +39,11 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def walsh_product_gates(regs, sigma, terms):
+    """Fragment-per-term gate list, in the given term order (the builder's product form)."""
+    return walsh._gates(walsh._product_specs(regs, sigma, terms))
 
 
 def exponential_oracle(samples, sigma):
@@ -323,6 +331,8 @@ def test_chooser_closed_forms_count_the_emitted_entanglers(sigma):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_walsh_coin_constructs_each_gate_once(n, monkeypatch):
+    # One construction per distinct object, and one object per distinct
+    # (kind, controls, targets, angle) record: repeats share their gate.
     built = []
     post_init = GateInstance.__post_init__
 
@@ -332,7 +342,71 @@ def test_walsh_coin_constructs_each_gate_once(n, monkeypatch):
 
     monkeypatch.setattr(GateInstance, "__post_init__", counting)
     circuit = build_walsh_coin(random_field(n, seed=n))
-    assert len(built) == len(circuit.gates)
+    records = set(gate_tuples(circuit))
+    assert len(built) == len({id(g) for g in circuit.gates}) == len(records)
+    assert len(records) < len(circuit.gates)
+
+
+def test_gate_sharing_spans_the_four_series_and_the_compiled_circuit():
+    circuit = build_walsh_coin(random_field(12, seed=1))
+    assert len(circuit.gates) == 51_199
+    assert len({id(g) for g in circuit.gates}) == len(set(gate_tuples(circuit))) == 16_461
+    compiled = compile_circuit(circuit)
+    assert len(compiled.gates) == 51_199
+    assert len({id(g) for g in compiled.gates}) == 16_461
+
+
+def test_gate_keys_never_meet_a_zero_angle():
+    # Specs are dict keys, and 0.0 == -0.0; terms() drops zero coefficients,
+    # so no emitted angle is zero and no two keys differ only in that sign.
+    series = WalshSeries(3, [0.0, -0.0, 0.5, 0.0, -0.25, 0.0, 0.0, 1e-300])
+    assert [j for j, _ in series.terms()] == [2, 4, 7]
+    for sigma in ("i", "x", "y", "z"):
+        for optimize in (False, True):
+            angles = [g.angle for g in build_walsh(series, sigma, optimize).gates if g.angle is not None]
+            assert angles and all(a != 0.0 for a in angles)
+
+
+def iterative_cancel(specs):
+    """The cancellation's fixed point by repeated passes: every maximal run of
+    same-target CNOTs reduced by control parity, until a pass shortens nothing."""
+    while True:
+        out = []
+        for target, run in groupby(specs, key=lambda spec: spec[2] if spec[0] == "cnot" else None):
+            if target is None:
+                out.extend(run)
+                continue
+            parity = Counter(spec[1] for spec in run)
+            out.extend(("cnot", c, target, None) for c in sorted(parity) if parity[c] % 2)
+        if len(out) == len(specs):
+            return out
+        specs = out
+
+
+_CNOTS = [("cnot", (c,), (t,), None) for c in (1, 2, 3, 4) for t in (1, 2, 3) if c != t]
+_OTHERS = [("rz", (), (1,), -0.5), ("rz", (), (2,), 0.25), ("x", (), (3,), None), ("cz", (1,), (0,), None)]
+_spec_lists = st.lists(st.sampled_from(_CNOTS * 2 + _OTHERS), max_size=30)
+
+
+@given(_spec_lists, _spec_lists, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_cancel_equals_the_iterative_fixed_point(left, middle, mirror):
+    # A mirrored ladder cancels from the inside out: each run that vanishes
+    # lets the runs around it merge, unless a non-CNOT gate stands between.
+    specs = left + middle + (left[::-1] if mirror else left)
+    assert walsh._cancel_common_target_runs(specs) == iterative_cancel(specs)
+
+
+def test_one_pass_cancel_on_phase_series():
+    trap = dirac_field(10, 1.0, 0.5, 1.0, 50.0).euler_angles()
+    cases = [(n, sparse_series(n, 50 + n)) for n in range(1, 11)]
+    cases += [(n, WalshSeries(n, np.linspace(0.1, 1.0, 1 << n))) for n in range(1, 11)]
+    cases += [(10, walsh_coefficients(unwrap_angles(trap[:, i], 10))) for i in range(4)]
+    for n, series in cases:
+        regs = RegisterMap.walk(n)
+        ordered = sorted(series.terms(), key=lambda t: walsh._gray_rank(t[0]))
+        specs = walsh._product_specs(regs, "i", ordered)
+        assert walsh._cancel_common_target_runs(specs) == iterative_cancel(specs)
 
 
 def test_coin_circuit_matches_field_matrix():
