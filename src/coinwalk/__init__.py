@@ -24,10 +24,7 @@ from .coins import (
     coin_field_to_json,
     coin_from_k_params,
     dirac_field,
-    dyadic_coordinate,
     euler_factorization,
-    euler_matrix,
-    identity_field,
     random_field,
     total_coin_matrix,
 )
@@ -35,7 +32,6 @@ from .errors import ToolkitError
 from .linear import (
     build_linear,
     build_q0,
-    build_q1_naive,
     build_q1_parallel,
     build_q2,
     coin_blocks,
@@ -56,7 +52,7 @@ from .statevec import (
     circuit_unitary,
     full_unitary,
 )
-from .transpile import compile_circuit, decompose_mcu
+from .transpile import compile_circuit
 from .walk import (
     Distribution,
     WalkConfig,
@@ -72,7 +68,6 @@ from .walk import (
 )
 from .walsh import (
     WalshSeries,
-    build_linear_phase,
     build_walsh,
     build_walsh_coin,
     derivative_sup_estimate,
@@ -81,7 +76,6 @@ from .walsh import (
     truncation_error_bound,
     unwrap_angles,
     walsh_coefficients,
-    walsh_function,
 )
 
 __version__ = "0.1.0"
@@ -90,10 +84,8 @@ __all__ = [
     "apply_circuit",
     "apply_gate",
     "build_linear",
-    "build_linear_phase",
     "build_naive",
     "build_q0",
-    "build_q1_naive",
     "build_q1_parallel",
     "build_q2",
     "build_shift_id",
@@ -113,20 +105,16 @@ __all__ = [
     "config_from_json",
     "config_to_json",
     "dagger",
-    "decompose_mcu",
     "depth",
     "derivative_sup_estimate",
     "dirac_field",
     "Distribution",
-    "dyadic_coordinate",
     "euler_factorization",
-    "euler_matrix",
     "from_qasm",
     "full_unitary",
     "gate_counts",
     "GateInstance",
     "gray_code_optimize",
-    "identity_field",
     "initial_state",
     "matrix_oracle_run",
     "predicted_cost",
@@ -149,6 +137,5 @@ __all__ = [
     "WalkConfig",
     "WalkResult",
     "walsh_coefficients",
-    "walsh_function",
     "WalshSeries",
 ]

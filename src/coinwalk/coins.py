@@ -23,10 +23,7 @@ __all__ = [
     "coin_field_to_json",
     "coin_from_k_params",
     "dirac_field",
-    "dyadic_coordinate",
     "euler_factorization",
-    "euler_matrix",
-    "identity_field",
     "random_field",
     "total_coin_matrix",
 ]
@@ -36,17 +33,6 @@ def bit_reversal(k, n: int):
     """``k`` (an int or an integer array) with its ``n`` low bits reversed:
     bit ``p`` moves to bit ``n-1-p``."""
     return sum((((k >> p) & 1) << (n - 1 - p) for p in range(n)), 0 * k)
-
-
-def dyadic_coordinate(k: int, n: int) -> float:
-    """Map node ``k`` to ``sum_p b_p 2^-(p+1)`` with ``b_p`` the bits of k.
-
-    This is the bit-reversal of ``k / 2^n``; it is injective on ``[0, 2^n)``
-    and is the sampling grid the Walsh machinery assumes.
-    """
-    if not 0 <= k < (1 << n):
-        raise ToolkitError("index-out-of-range", f"node {k} outside 0..{(1 << n) - 1}")
-    return bit_reversal(k, n) / (1 << n)
 
 
 def coin_from_k_params(alpha, theta, phi, lam) -> np.ndarray:
@@ -68,21 +54,10 @@ def coin_from_k_params(alpha, theta, phi, lam) -> np.ndarray:
     return np.exp(1j * alpha)[..., None, None] * out
 
 
-def euler_matrix(f0: float, f1: float, f2: float, f3: float) -> np.ndarray:
-    """``exp(i f0) exp(i f1 Z) exp(i f2 Y) exp(i f3 Z)`` written out."""
-    c, s = np.cos(f2), np.sin(f2)
-    return np.exp(1j * f0) * np.array(
-        [
-            [np.exp(1j * (f1 + f3)) * c, np.exp(1j * (f1 - f3)) * s],
-            [-np.exp(-1j * (f1 - f3)) * s, np.exp(-1j * (f1 + f3)) * c],
-        ]
-    )
-
-
 def euler_factorization(u: np.ndarray) -> np.ndarray:
     """Angles ``(..., 4)``, F0..F3 of each 2x2 block of ``u`` ``(..., 2, 2)``,
-    with ``euler_matrix(*angles) == block``; a single 2x2 unitary is a batch
-    of one and gives four angles.
+    with ``block == exp(i F0) exp(i F1 Z) exp(i F2 Y) exp(i F3 Z)``; a single
+    2x2 unitary is a batch of one and gives four angles.
 
     As ``exp(i f Z) = Rz(-2f)`` and ``exp(i f Y) = Ry(-2f)``, this is also
     ``u = exp(i F0) Rz(-2 F1) Ry(-2 F2) Rz(-2 F3)``, the form the transpiler
@@ -149,11 +124,6 @@ def total_coin_matrix(field: CoinField) -> np.ndarray:
     for k in range(1 << field.n):
         out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = field.coins[k]
     return out
-
-
-def identity_field(n: int) -> CoinField:
-    coins = np.broadcast_to(np.eye(2, dtype=complex), (1 << n, 2, 2)).copy()
-    return CoinField(n, coins, {"kind": "identity"})
 
 
 def random_field(n: int, seed: int) -> CoinField:

@@ -24,7 +24,6 @@ from .coins import CoinField
 __all__ = [
     "build_linear",
     "build_q0",
-    "build_q1_naive",
     "build_q1_parallel",
     "build_q2",
     "check_collapse_budget",
@@ -48,28 +47,6 @@ def build_q0(field: CoinField) -> Circuit:
         for k in range(1 << n)
     )
     return Circuit(regs, gates, {"builder": "q0", "n": n})
-
-
-def build_q1_naive(n: int) -> Circuit:
-    """Mark b'_k by a binary cascade of controlled swaps.
-
-    After X on b'_0 the lone 1 sits at index 0; level m swaps the lower and
-    upper halves of each 2^(m+1) block when position bit m is set, walking
-    the 1 to index k.  Cheap to state, depth O(2^n) since every level's
-    swaps share the same control wire.
-    """
-    regs = RegisterMap.linear(n)
-    gates = [GateInstance("x", (), (regs.apos(0),))]
-    for m in range(n):
-        for i in range(1 << m):
-            gates.append(
-                GateInstance(
-                    "cswap",
-                    (regs.position(m),),
-                    (regs.apos(i), regs.apos(i + (1 << m))),
-                )
-            )
-    return Circuit(regs, tuple(gates), {"builder": "q1-naive", "n": n})
 
 
 def _copy_offset(m: int) -> int:

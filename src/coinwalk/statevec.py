@@ -85,12 +85,15 @@ def check_document_n(n: int) -> int:
 def is_unitary(m: np.ndarray, atol: float = ATOL_UNITARY):
     """Whether ``U^H U = I`` within ``atol`` in every entry (a NaN misses): a
     bool for one ``(d, d)`` matrix, a boolean array over the leading axes of a
-    ``(..., d, d)`` stack, and False for anything not square."""
+    ``(..., d, d)`` stack, and False for anything not square.  A huge finite
+    entry overflows the product to inf or NaN, which fails the comparison
+    without a warning."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         return False
-    gram = m.conj().swapaxes(-1, -2) @ m
-    ok = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1)) <= atol
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m.conj().swapaxes(-1, -2) @ m
+        ok = np.abs(gram - np.eye(m.shape[-1])).max(axis=(-2, -1)) <= atol
     return bool(ok) if m.ndim == 2 else ok
 
 

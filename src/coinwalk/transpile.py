@@ -41,7 +41,6 @@ __all__ = [
     "controlled_u2_gates",
     "cswap_gates",
     "cz_gates",
-    "decompose_mcu",
     "decompose_su2",
     "expand_swaps",
     "sqrt_u2",
@@ -250,23 +249,18 @@ def _ck_u2(u, controls, target, pool, shared: _Shared) -> list[GateInstance]:
     return gates + _abc_gates(controls[0], target, angles[-1])
 
 
-def decompose_mcu(controls, target: int, u: np.ndarray) -> list[GateInstance]:
+def _decompose_mcu(controls, target: int, u, shared: _Shared) -> list[GateInstance]:
     """k-controlled U(2) as basis gates, ancilla free, O(k^2) gate count.
 
-    The X networks depend only on the wires: within one call, and within one
-    :func:`compile_circuit` call across all its gates, each is built once and
-    its gate objects reused; the ``sqrt_u2`` rotations are built per gate.
+    The X networks depend only on the wires: ``shared`` builds each once and
+    reuses its gate objects; the ``sqrt_u2`` rotations are built per gate.
     """
-    return _decompose_mcu(controls, target, u, _Shared())
-
-
-def _decompose_mcu(controls, target: int, u, shared: _Shared) -> list[GateInstance]:
     controls = tuple(controls)
     if not controls:
         raise ToolkitError("gate-arity-mismatch", "need at least one control wire")
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2) or not statevec.is_unitary(u):
-        raise ToolkitError("not-unitary", "decompose_mcu needs a 2x2 unitary")
+        raise ToolkitError("not-unitary", "a multi-controlled U(2) needs a 2x2 unitary")
     x_like = np.allclose(u, np.array([[0, 1], [1, 0]]), atol=1e-14)
     if x_like and len(controls) <= 2:
         if len(controls) == 1:

@@ -17,7 +17,7 @@ followed by the shift circuit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,6 @@ class Distribution:
 class WalkResult:
     distribution: Distribution
     final_state: np.ndarray
-    history: list[np.ndarray] = dc_field(default_factory=list)
 
 
 def tvd(p, q) -> float:
@@ -172,13 +171,11 @@ def _shift_rolls(vec: np.ndarray) -> np.ndarray:
     return np.stack([np.roll(pairs[:, 0], -1), np.roll(pairs[:, 1], 1)], axis=1).reshape(-1)
 
 
-def _evolve(vec: np.ndarray, steps: int, coins: np.ndarray, shift) -> tuple[np.ndarray, list]:
-    """The final vector and every marginal, each step the coins then the function ``shift``."""
-    history = [_marginal_walk(vec)]
+def _evolve(vec: np.ndarray, steps: int, coins: np.ndarray, shift) -> np.ndarray:
+    """The final vector, each step the coins then the function ``shift``."""
     for _ in range(steps):
         vec = shift(_apply_coins(coins, vec))
-        history.append(_marginal_walk(vec))
-    return vec, history
+    return vec
 
 
 def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkResult:
@@ -188,8 +185,8 @@ def matrix_oracle_run(field: CoinField, steps: int, init: np.ndarray) -> WalkRes
     coin-0 column one node down and the coin-1 column one node up.
     """
     statevec.check_dense_vector(field.n + 1, "an oracle run")
-    vec, history = _evolve(np.asarray(init, dtype=complex), steps, field.coins, _shift_rolls)
-    return WalkResult(Distribution(history[-1]), vec, history)
+    vec = _evolve(np.asarray(init, dtype=complex), steps, field.coins, _shift_rolls)
+    return WalkResult(Distribution(_marginal_walk(vec)), vec)
 
 
 def _check_truncation(construction: str, truncation: int | None, n: int) -> None:
@@ -214,14 +211,6 @@ def build_coin(construction: str, field: CoinField, truncation: int | None = Non
     if construction == "walsh":
         return walsh_mod.build_walsh_coin(field, m=truncation)
     raise ValueError(f"unknown construction {construction!r}, not one of {tuple(CONSTRUCTIONS)}")
-
-
-def _probe(circuit: Circuit) -> np.ndarray:
-    """A seeded complex Gaussian vector over a walk-layout circuit's wires."""
-    q = circuit.num_wires
-    statevec.check_dense_vector(q, "a probe")
-    rng = np.random.default_rng(_PROBE_SEED)
-    return rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
 
 
 # -- parity frames ---------------------------------------------------------------
@@ -342,17 +331,26 @@ def coin_deviation(circuit: Circuit, coins: np.ndarray) -> float:
     circuit ``U`` run through the dense kernel on the seeded probe ``z``: a
     check of ``U`` against ``coins`` by simulation, independent of the
     parity-frame reading, which any other ``U`` fails with probability one."""
-    z = _probe(circuit)
-    got = np.exp(1j * circuit.global_phase) * statevec.circuit_unitary(circuit, z.copy())
-    return float(np.max(np.abs(got - _apply_coins(coins, z)))) / float(np.max(np.abs(z)))
+    return _probe_deviation(circuit, lambda z: _apply_coins(coins, z))
 
 
 def shift_deviation(circuit: Circuit) -> float:
     """``max|S z - rolls(z)| / max|z|`` for a walk-layout shift circuit ``S``,
     the seeded probe ``z`` and the shift of :func:`matrix_oracle_run`."""
-    z = _probe(circuit)
-    got = statevec.circuit_unitary(circuit, z.copy())
-    return float(np.max(np.abs(got - _shift_rolls(z)))) / float(np.max(np.abs(z)))
+    return _probe_deviation(circuit, _shift_rolls)
+
+
+def _probe_deviation(circuit: Circuit, expected) -> float:
+    """``max|U z - expected(z)| / max|z|`` for a walk-layout circuit ``U``, its
+    tracked global phase included, run through the dense kernel on a seeded
+    complex Gaussian probe ``z`` over its wires.  A shift circuit tracks no
+    phase, so for it the phase factor is exactly 1."""
+    q = circuit.num_wires
+    statevec.check_dense_vector(q, "a probe")
+    rng = np.random.default_rng(_PROBE_SEED)
+    z = rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
+    got = np.exp(1j * circuit.global_phase) * statevec.circuit_unitary(circuit, z.copy())
+    return float(np.max(np.abs(got - expected(z)))) / float(np.max(np.abs(z)))
 
 
 def _coin_array(config: WalkConfig) -> np.ndarray:
@@ -376,10 +374,10 @@ def run(config: WalkConfig) -> WalkResult:
     """Evolve per step as coin then shift; exact marginals, optional sampling."""
     statevec.check_dense_vector(config.n + 1, "the walk layout")
     shift_circuit = shift_mod.build_shift(config.shift_scheme, config.n)
-    vec, history = _evolve(initial_state(config), config.steps, _coin_array(config),
-                           lambda v: _norm_checked(statevec.apply_circuit(v, shift_circuit)))
-    probs = history[-1]
-    return WalkResult(Distribution(probs, _sample(probs, config)), vec, history)
+    vec = _evolve(initial_state(config), config.steps, _coin_array(config),
+                  lambda v: _norm_checked(statevec.apply_circuit(v, shift_circuit)))
+    probs = _marginal_walk(vec)
+    return WalkResult(Distribution(probs, _sample(probs, config)), vec)
 
 
 # -- serialization -------------------------------------------------------------

@@ -26,7 +26,6 @@ from .coins import CoinField, bit_reversal
 
 __all__ = [
     "WalshSeries",
-    "build_linear_phase",
     "build_walsh",
     "build_walsh_coin",
     "check_order",
@@ -36,7 +35,6 @@ __all__ = [
     "truncation_error_bound",
     "unwrap_angles",
     "walsh_coefficients",
-    "walsh_function",
 ]
 
 SIGMA_KINDS = ("i", "x", "y", "z")
@@ -54,25 +52,6 @@ def _sigma_key(sigma: str) -> str:
     if key not in SIGMA_KINDS:
         raise ValueError(f"sigma must be one of I, X, Y, Z, got {sigma!r}")
     return key
-
-
-def walsh_function(j: int, x) -> np.ndarray | int:
-    """w_j(x) in {+1, -1}; bit i of j pairs with the dyadic digit of weight 2^-(i+1)."""
-    if j < 0:
-        raise ToolkitError("index-out-of-range", "walsh index must be nonnegative")
-    xs = np.asarray(x, dtype=float)
-    exponent = np.zeros(xs.shape, dtype=np.int64)
-    frac = np.mod(xs, 1.0)
-    i = 0
-    while j >> i:
-        frac = frac * 2.0
-        digit = frac.astype(np.int64)
-        if (j >> i) & 1:
-            exponent += digit
-        frac -= digit
-        i += 1
-    out = 1 - 2 * (exponent & 1)
-    return out if out.shape else int(out)
 
 
 @dataclass(frozen=True)
@@ -411,29 +390,3 @@ def build_walsh_coin(field: CoinField, m: int | None = None, optimize: bool = Tr
         "global_phase": _phase_of("i", series[0].terms()),
     }
     return Circuit(regs, tuple(_gates(specs)), meta)
-
-
-def build_linear_phase(a: float, sigma: str, n: int) -> Circuit:
-    """e^{i a x(hat) (x) sigma} with exactly n two-qubit gates.
-
-    The dyadic coordinate splits over bits, so one controlled e^{i a 2^-(p+1)
-    sigma} per position wire suffices; no series expansion and no error.
-    """
-    sigma = _sigma_key(sigma)
-    regs = RegisterMap.walk(n)
-    pauli = _PAULI[sigma]
-    gates = []
-    for p in range(n):
-        theta = a / (1 << (p + 1))
-        block = np.cos(theta) * np.eye(2) + 1j * np.sin(theta) * pauli
-        gates.append(
-            GateInstance(
-                "cu2",
-                (regs.position(p),),
-                (regs.coin(),),
-                matrix=block,
-                label=f"phase{p}",
-            )
-        )
-    meta = {"builder": "linear-phase", "n": n, "global_phase": 0.0}
-    return Circuit(regs, tuple(gates), meta)

@@ -21,7 +21,6 @@ from coinwalk import (
     WalshSeries,
     apply_circuit,
     build_linear,
-    build_linear_phase,
     build_naive,
     build_q0,
     build_q1_parallel,
@@ -33,7 +32,6 @@ from coinwalk import (
     circuit_unitary,
     depth,
     dirac_field,
-    dyadic_coordinate,
     gate_counts,
     initial_state,
     matrix_oracle_run,
@@ -47,7 +45,7 @@ from coinwalk import (
     walsh_coefficients,
 )
 from coinwalk.cli import main as cli_main
-from test_walsh import walsh_product_gates
+from oracles import build_linear_phase, dyadic_coordinate, walsh_product_gates
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

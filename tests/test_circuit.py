@@ -18,9 +18,10 @@ from coinwalk import (
     full_unitary,
     gate_counts,
 )
-from coinwalk import build_naive, build_walsh_coin, compile_circuit, euler_matrix, random_field
+from coinwalk import build_naive, build_walsh_coin, compile_circuit, random_field
 from coinwalk.circuit import GATE_KINDS
 from coinwalk.transpile import expand_swaps
+from oracles import euler_matrix
 
 
 def test_gate_kinds_and_payload_validation():

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,18 @@ def test_broken_coin_spec_is_a_usage_error(tmp_path, capsys):
     rc = main(["build", "--construction", "naive", "--coin", path, "--out", str(tmp_path / "x.json")])
     assert rc == 2
     assert capsys.readouterr().err == "error: coin 1 is not unitary\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_a_huge_coin_entry_is_a_usage_error_with_no_warning(tmp_path, capsys):
+    spec = json.loads(coin_field_to_json(random_field(1, seed=0)))
+    spec["coins"][0][0] = [1e300, 0.0]
+    path = write_json(tmp_path / "huge.json", spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["build", "--construction", "walsh", "--coin", path, "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: coin 0 is not unitary\n"
     assert not (tmp_path / "x.json").exists()
 
 

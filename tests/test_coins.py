@@ -12,15 +12,13 @@ from coinwalk import (
     coin_field_to_json,
     coin_from_k_params,
     dirac_field,
-    dyadic_coordinate,
     euler_factorization,
-    euler_matrix,
-    identity_field,
     random_field,
     total_coin_matrix,
 )
 from coinwalk.coins import bit_reversal
 from coinwalk.statevec import is_unitary
+from oracles import dyadic_coordinate, euler_matrix, identity_field
 
 
 def test_dyadic_coordinate_values():

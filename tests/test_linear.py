@@ -11,17 +11,16 @@ from coinwalk import (
     apply_circuit,
     build_linear,
     build_q0,
-    build_q1_naive,
     build_q1_parallel,
     build_q2,
     circuit_unitary,
     coin_blocks,
     depth,
-    identity_field,
     predicted_depth,
     random_field,
     total_coin_matrix,
 )
+from oracles import build_q1_naive, identity_field
 
 
 def classical_run(circuit, index):

@@ -5,12 +5,12 @@ from coinwalk import (
     ToolkitError,
     build_naive,
     circuit_unitary,
-    identity_field,
     random_field,
     total_coin_matrix,
     tower,
 )
 from coinwalk.naive import tower_flips
+from oracles import identity_field
 
 
 def test_tower_flip_patterns():

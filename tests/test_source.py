@@ -135,6 +135,61 @@ def test_every_export_is_read_somewhere():
     assert not unread, f"exported but never read: {', '.join(unread)}"
 
 
+#: Exports no pipeline code reads, each kept for a stated reason.
+TEST_ONLY_EXPORTS = {
+    "build_walsh": "the paper's one-series Walsh circuit; acceptance criteria 8 and 9 build it",
+    "from_qasm": "the QASM reader, part of the library's input handling",
+    "derivative_sup_estimate": "the Walsh truncation bound; the scaling sweep of ROADMAP item 1 will call it",
+    "truncation_error_bound": "the Walsh truncation bound; the scaling sweep of ROADMAP item 1 will call it",
+}
+
+
+def _exports(path: Path) -> list[str]:
+    """The names in a module's literal ``__all__``, read from its source."""
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _unread_exports(package: Path) -> list[str]:
+    """Exports of ``package`` that no module of it (its ``__init__`` aside) and
+    no file under ``perfbench/`` reads, less :data:`TEST_ONLY_EXPORTS`."""
+    modules = sorted(package.glob("*.py"))
+    files = [path for path in modules if path.name != "__init__.py"]
+    files += sorted((PACKAGE.parents[1] / "perfbench").rglob("*.py"))
+    loaded = set().union(*map(_loaded_names, files))
+    return [
+        f"{path.name}:{name}"
+        for path in modules
+        for name in _exports(path)
+        if name not in loaded and name not in TEST_ONLY_EXPORTS
+    ]
+
+
+def test_every_export_is_read_by_the_library_or_the_benchmark():
+    # Tests are not readers here: a name only tests read belongs in tests/oracles.py.
+    assert _exports(PACKAGE / "__init__.py") == coinwalk.__all__
+    unread = _unread_exports(PACKAGE)
+    assert not unread, f"exported but read by no pipeline code: {', '.join(unread)}"
+    assert set(TEST_ONLY_EXPORTS) <= set(coinwalk.__all__)
+
+
+@pytest.mark.parametrize(
+    "module,source",
+    [("coins.py", "def identity_field(n):\n    return n\n"),
+     ("transpile.py", "def decompose_mcu(controls, target, u):\n    return _decompose_mcu(controls, target, u, _Shared())\n")],
+)
+def test_the_export_check_fails_a_copy_that_readds_an_unread_export(tmp_path, module, source):
+    package = tmp_path / "coinwalk"
+    shutil.copytree(PACKAGE, package)
+    assert _unread_exports(package) == []
+    name = source.split("(", 1)[0].removeprefix("def ")
+    path = package / module
+    path.write_text(path.read_text().replace("__all__ = [\n", f'__all__ = [\n    "{name}",\n', 1) + f"\n\n{source}")
+    assert _unread_exports(package) == [f"{module}:{name}"]
+
+
 def test_every_error_code_is_in_the_readme_list():
     # A code is the literal first argument of a ToolkitError(...) call, or
     # either literal branch of a conditional expression there.

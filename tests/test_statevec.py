@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,13 +16,13 @@ from coinwalk import (
     apply_gate,
     circuit_unitary,
     full_unitary,
-    identity_field,
     shift_permutation_matrix,
     total_coin_matrix,
 )
 from coinwalk import statevec
 from coinwalk.circuit import GATE_KINDS
 from coinwalk.statevec import DENSE_QUBITS_MAX, MATRIX_BYTES_MAX, is_unitary
+from oracles import identity_field
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -262,6 +263,17 @@ def test_square_matrices_over_the_byte_budget_are_refused(no_large_matrices):
 def test_is_unitary_helper():
     assert is_unitary(random_unitary(4, 1))
     assert not is_unitary(np.ones((2, 2), dtype=complex))
+
+
+def test_is_unitary_refuses_a_huge_entry_without_a_warning():
+    # 1e300 squared overflows the Gram product to inf, and inf - inf is NaN
+    huge = np.eye(2, dtype=complex)
+    huge[0, 0] = 1e300
+    stack = np.array([np.eye(2), huge, huge * 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_unitary(huge) is False
+        assert is_unitary(stack).tolist() == [True, False, False]
 
 
 # -- the dense kernel's paths -------------------------------------------------

@@ -21,7 +21,6 @@ from coinwalk.transpile import (
     cp_gates,
     cswap_gates,
     cz_gates,
-    decompose_mcu,
     decompose_su2,
     expand_swaps,
     sqrt_u2,
@@ -30,6 +29,7 @@ from coinwalk.transpile import (
     x_gates,
 )
 from coinwalk.walsh import gray_code_optimize
+from oracles import decompose_mcu
 
 
 def unitary_of(gates, num_wires):

@@ -28,7 +28,6 @@ from coinwalk import (
     config_from_json,
     config_to_json,
     full_unitary,
-    identity_field,
     initial_state,
     matrix_oracle_run,
     random_field,
@@ -39,6 +38,7 @@ from coinwalk import (
     total_coin_matrix,
     tvd,
 )
+from oracles import identity_field
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -63,12 +63,12 @@ def test_identity_coin_single_step_moves_by_coin_value():
     assert np.allclose(oracle(up).distribution.probabilities, [0, 1, 0, 0])
 
 
-def test_oracle_history_tracks_every_step():
-    config = WalkConfig(2, 5, random_field(2, seed=0), initial=INITIAL)
-    result = oracle(config)
-    assert len(result.history) == 6
-    assert np.allclose(result.history[-1], result.distribution.probabilities)
-    for marginal in result.history:
+def test_oracle_distribution_is_the_final_state_marginal():
+    for steps in range(6):
+        result = oracle(WalkConfig(2, steps, random_field(2, seed=0), initial=INITIAL))
+        pairs = result.final_state.reshape(-1, 2)
+        marginal = np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2
+        assert np.array_equal(result.distribution.probabilities, marginal)
         assert marginal.sum() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -330,11 +330,11 @@ def test_linear_circuit_leaving_an_ancilla_set_raises(monkeypatch):
 def test_norm_check_raises_under_python_O(tmp_path):
     code = "\n".join([
         "import coinwalk.walk as w",
-        "from coinwalk import ToolkitError, identity_field",
+        "from coinwalk import ToolkitError, random_field",
         "w._NORM_SLACK = -1.0",
         "print(__debug__)",
         "try:",
-        "    w.run(w.WalkConfig(2, 1, identity_field(2)))",
+        "    w.run(w.WalkConfig(2, 1, random_field(2, seed=0)))",
         "except ToolkitError as exc:",
         "    print(exc.code)",
     ])
@@ -411,11 +411,10 @@ def test_walsh_truncation_degrades_then_recovers():
     assert rough.probabilities.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_linear_backend_keeps_history():
+def test_linear_backend_final_state_has_unit_norm():
     n = 2
     config = WalkConfig(n, 3, random_field(n, seed=5), coin_builder="linear")
     result = run(config)
-    assert len(result.history) == 4
     assert result.final_state.shape == (1 << (n + 1),)
     assert np.linalg.norm(result.final_state) == pytest.approx(1.0, abs=1e-9)
 

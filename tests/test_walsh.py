@@ -14,14 +14,12 @@ from coinwalk import (
     RegisterMap,
     ToolkitError,
     WalshSeries,
-    build_linear_phase,
     build_walsh,
     build_walsh_coin,
     circuit_unitary,
     compile_circuit,
     derivative_sup_estimate,
     dirac_field,
-    dyadic_coordinate,
     gate_counts,
     gray_code_optimize,
     random_field,
@@ -30,8 +28,8 @@ from coinwalk import (
     truncation_error_bound,
     unwrap_angles,
     walsh_coefficients,
-    walsh_function,
 )
+from oracles import build_linear_phase, dyadic_coordinate, walsh_function, walsh_product_gates
 
 _PAULI = {
     "i": np.eye(2),
@@ -39,11 +37,6 @@ _PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-def walsh_product_gates(regs, sigma, terms):
-    """Fragment-per-term gate list, in the given term order (the builder's product form)."""
-    return walsh._gates(walsh._product_specs(regs, sigma, terms))
 
 
 def exponential_oracle(samples, sigma):
