@@ -26,8 +26,8 @@ from .errors import ToolkitError
 
 __all__ = ["main"]
 
-#: The ToolkitError codes that refuse a request for its size: exit 2, not 1.
-_SIZE_CODES = ("dense-limit-exceeded", "backend-infeasible")
+#: The ToolkitError code that refuses a request for its size: exit 2, not 1.
+_SIZE_CODE = "dense-limit-exceeded"
 
 
 def _load_json(path: str) -> dict:
@@ -94,7 +94,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     tol = walk.CONSTRUCTIONS[args.construction]
     n = statevec.check_document_n(args.n)
-    if args.construction == "linear":  # the linear collapse is sparse, with its own budget
+    if args.construction == "linear":  # the linear probe is sparse, with its own budget
         linear.check_collapse_budget(n)
     else:
         statevec.check_dense_vector(n + 1, "the walk layout")
@@ -103,10 +103,10 @@ def _cmd_verify(args) -> int:
     why = ""
     try:
         got, residual = walk.collapse(circ)
-        deviation = max(float(np.max(np.abs(got - field.coins))), residual)
-        if args.construction != "linear":  # and the circuit simulated against the field
-            deviation = max(deviation, walk.coin_deviation(circ, field.coins))
-    except ToolkitError as exc:  # a walk-layout circuit the parity frames refuse
+        # the reading against the field, and the circuit simulated against it
+        deviation = max(float(np.max(np.abs(got - field.coins))), residual,
+                        walk.coin_deviation(circ, field.coins))
+    except ToolkitError as exc:  # a circuit the reading refuses
         if exc.code != "coin-not-block-diagonal":
             raise
         deviation, why = math.inf, f": {exc.message}"
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ToolkitError as exc:
         print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
-        return 2 if exc.code in _SIZE_CODES else 1
+        return 2 if exc.code == _SIZE_CODE else 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -169,56 +169,109 @@ def build_linear(field: CoinField) -> Circuit:
 
 
 def check_collapse_budget(n: int) -> None:
-    """Refuse, from ``n`` alone and before any circuit exists, a :func:`coin_blocks`
-    collapse whose bit rows overrun :data:`statevec.MATRIX_BYTES_MAX`.
+    """Refuse, from ``n`` alone and before any circuit exists, a sparse probe of
+    the linear circuit (``walk.coin_deviation``) whose rows overrun
+    :data:`statevec.MATRIX_BYTES_MAX`.
 
-    The ``2^(n+1)`` inputs take up to two rows each once Q0 branches them, each
-    row one byte per wire of the layout plus ``n + 1`` tag wires:
-    ``2 * 2^(n+1) * (wires + n + 1)`` bytes; ``"dense-limit-exceeded"`` over it.
+    The probe holds ``2^(n+1)`` rows, one per data input, each one byte per
+    wire of the layout plus a 16-byte amplitude, and the sparse kernel writes
+    a new copy of them at every gate: ``2 * 2^(n+1) * (wires + 16)`` bytes;
+    ``"dense-limit-exceeded"`` over it.
     """
-    size = 2 * (2 << n) * (RegisterMap.linear(n).num_wires + n + 1)
+    _check_bytes(2 * (2 << n) * (RegisterMap.linear(n).num_wires + 16), f"the probe of n={n}")
+
+
+def _check_bytes(size: int, what: str) -> None:
     if size > statevec.MATRIX_BYTES_MAX:
         raise ToolkitError(
             "dense-limit-exceeded",
-            f"the collapse of n={n} needs {size / 2**30:g} GiB of bit rows, over the "
+            f"{what} needs {size / 2**30:g} GiB, over the "
             f"{statevec.MATRIX_BYTES_MAX / 2**30:g} GiB matrix budget",
         )
+
+
+def _refused(index: int, gate: GateInstance, why: str) -> ToolkitError:
+    return ToolkitError(
+        "coin-not-block-diagonal", f"gate {index} ({gate.kind} on wires {gate.wires}) {why}")
 
 
 def coin_blocks(circuit: Circuit) -> tuple[np.ndarray, float]:
     """The ``(2^n, 2, 2)`` coin array a linear circuit applies, and its residual.
 
-    Every data input ``|k, c>`` (all other wires at |0>) runs through the
-    sparse kernel, all ``2^(n+1)`` of them as one state in one pass: ``n + 1``
-    tag wires above the circuit's own carry each input's index ``2k + c``.
-    No gate touches the tags, so rows from different inputs never mix, and
-    the array is exact: ``coins[k][c', c]`` is the amplitude left on
-    ``|k, c'>`` under tag ``2k + c``.  ``residual`` is the largest amplitude
-    left anywhere else; by linearity, zero on every basis input means the
-    ancillas come back to |0> on every input state.  No global phase is
-    applied: :func:`build_linear` tracks none.  The bit rows, up to two per
-    input once Q0 branches them, must pass :func:`check_collapse_budget`.
+    The circuit is read over bit columns, not simulated.  For each data input
+    ``|k, c>`` every wire but one holds a classical bit and one wire holds the
+    coin qubit, so each wire keeps two columns over the ``2^n`` positions,
+    Python ints with bit ``k`` for position ``k``: its bits, and where it
+    holds the coin (its bit there reads 0).  ``x`` and ``cnot`` XOR bit
+    columns; ``cswap`` exchanges the bits of both columns of its targets
+    where its control is set; ``cu2`` multiplies the block of each position
+    where it fires, ``blocks[k] = U @ blocks[k]`` (a copy of ``U`` the first
+    time, so the coins are exact).  Any other gate kind, a control on a wire
+    that holds the coin, an ``x`` or ``cnot`` onto it, or a ``cu2`` that fires
+    where its target does not hold it is refused with
+    ``"coin-not-block-diagonal"``.  A position whose bits do not end as
+    ``|k>`` with every ancilla at 0, or whose coin does not end on the
+    principal coin wire, is residual: its block is zeroed, and ``residual``
+    is the largest entry it had.  No global phase is applied:
+    :func:`build_linear` tracks none.  The two columns of every wire must
+    fit :data:`statevec.MATRIX_BYTES_MAX`: ``2 * wires * 2^n`` bits.
     """
     regs = circuit.registers
-    check_collapse_budget(regs.n)
-    q = regs.num_wires
-    inputs = 2 << regs.n
-    landing = {regs.embed(j >> 1, j & 1): j for j in range(inputs)}
-    start = statevec.SparseState(
-        q + regs.n + 1, {index | (j << q): 1.0 for index, j in landing.items()}
-    )
-    out = statevec.apply_circuit(start, circuit)
-    coins = np.zeros((inputs >> 1, 2, 2), dtype=complex)
-    residual = 0.0
-    data = (1 << q) - 1
-    for index, amp in out.amplitudes.items():
-        k, c = divmod(index >> q, 2)  # the input this row came from
-        lands = landing.get(index & data)  # 2k' + c' if the data wires hold |k', c'>
-        if lands is not None and lands >> 1 == k:
-            coins[k, lands & 1, c] = amp
+    _check_bytes((2 * regs.num_wires << regs.n) // 8, f"the bit columns of n={regs.n}")
+    nodes = np.arange(1 << regs.n)
+    everywhere = (1 << nodes.size) - 1
+    home = [0] * regs.num_wires  # the bits every wire must end with
+    for p in range(regs.n):
+        bits = np.packbits((nodes >> p) & 1 == 1, bitorder="little")
+        home[regs.position(p)] = int.from_bytes(bits.tobytes(), "little")
+    value = list(home)
+    holds = [0] * regs.num_wires
+    holds[regs.coin()] = everywhere
+    blocks = np.zeros((nodes.size, 2, 2), dtype=complex)
+    fired = np.zeros(nodes.size, dtype=bool)
+    for index, gate in enumerate(circuit.gates):
+        kind, targets = gate.kind, gate.targets
+        if gate.controls:
+            c = gate.controls[0]
+            if holds[c]:
+                raise _refused(index, gate, "is controlled by a wire that holds the coin")
+            on = value[c]
         else:
-            residual = max(residual, abs(amp))
-    return coins, residual
+            on = everywhere
+        if kind in ("x", "cnot"):
+            t = targets[0]
+            if holds[t] & on:
+                raise _refused(index, gate, "flips the coin")
+            value[t] ^= on
+        elif kind == "cswap":
+            a, b = targets
+            d = (value[a] ^ value[b]) & on
+            value[a] ^= d
+            value[b] ^= d
+            d = (holds[a] ^ holds[b]) & on
+            holds[a] ^= d
+            holds[b] ^= d
+        elif kind == "cu2":
+            if on & ~holds[targets[0]]:
+                raise _refused(index, gate, "fires where its target does not hold the coin")
+            u = gate.matrix
+            while on:
+                k = (on & -on).bit_length() - 1
+                on &= on - 1
+                blocks[k] = u @ blocks[k] if fired[k] else u
+                fired[k] = True
+        else:
+            raise _refused(index, gate, "is not a gate of the linear coin")
+    blocks[~fired] = np.eye(2)
+    off = everywhere ^ holds[regs.coin()]
+    for got, want in zip(value, home):
+        off |= got ^ want
+    stray = np.unpackbits(
+        np.frombuffer(off.to_bytes((nodes.size + 7) // 8, "little"), dtype=np.uint8),
+        count=nodes.size, bitorder="little").view(bool)
+    residual = float(np.abs(blocks[stray]).max(initial=0.0))
+    blocks[stray] = 0.0
+    return blocks, residual
 
 
 def predicted_depth(n: int) -> int:

@@ -13,8 +13,10 @@ fit in :data:`MATRIX_BYTES_MAX`; :func:`check_dense_vector` and
 slices of a dense array in place, with no ``tensordot`` (see ``_apply_matrix_inplace``).
 
 A :class:`SparseState` keeps only its nonzero amplitudes, as arrays: one bit
-row per amplitude and a complex vector beside them, so it runs a batch of
-basis inputs at once and reaches any number of wires.
+row per amplitude and a complex vector beside them, so it reaches any number
+of wires.  The library runs it in one place: ``walk.coin_deviation`` sends a
+probe vector over a linear-ancilla circuit's data inputs through it, a check
+by simulation independent of the bit-column reading (``linear.coin_blocks``).
 """
 
 from __future__ import annotations

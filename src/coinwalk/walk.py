@@ -6,10 +6,11 @@ runs).  A walk-layout circuit (naive, Walsh) is read gate by gate as parity
 frames, each position wire a parity of the input bits and the coin a Pauli
 frame, with one fast Walsh-Hadamard transform per run of same-axis coin
 rotations; the reading certifies block-diagonality by structure, so its
-residual is 0.  ``coinwalk verify`` also simulates such a circuit on a
-probe vector (:func:`coin_deviation`), a check independent of the reading.
-A linear-ancilla circuit collapses exactly, its 2^(n+1) basis inputs run
-as one sparse batch, with every ancilla checked back at |0>.
+residual is 0.  A linear-ancilla circuit is read over bit columns, each
+wire a classical bit per position or the coin's holder, with every ancilla
+checked back at |0> (:func:`linear.coin_blocks`).  ``coinwalk verify`` also
+simulates either circuit on a probe vector (:func:`coin_deviation`), a check
+independent of the reading.
 Each step of the dense walk-layout vector is then a batched 2x2 coin
 followed by the shift circuit.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import ToolkitError, checked
 from . import statevec
-from .circuit import Circuit, RegisterMap
+from .circuit import Circuit
 # total_coin_matrix is imported for perfbench's tracer test, which reads
 # walk.total_coin_matrix.
 from .coins import CoinField, coin_field_from_json, coin_field_to_json, total_coin_matrix  # noqa: F401
@@ -54,11 +55,6 @@ __all__ = [
 #: Each coin construction and its limit: the largest collapse residual a walk
 #: admits, and the largest deviation ``coinwalk verify`` admits.
 CONSTRUCTIONS = {"naive": 1e-10, "linear": 1e-10, "walsh": 1e-9}
-
-# The linear layout needs 2^(n+1) + n wires; 520 admits n <= 8.  Its exact
-# collapse took about 0.4 s at n = 8 and 4 s at n = 9 on one core of the
-# machine BENCH_sparse_batch.json describes.
-_MAX_LINEAR_WIRES = 520
 
 _NORM_SLACK = 1e-9
 _PROBE_SEED = 20220101
@@ -313,7 +309,9 @@ def _read_frames(circuit: Circuit) -> np.ndarray:
 def collapse(circuit: Circuit) -> tuple[np.ndarray, float]:
     """The ``(2^n, 2, 2)`` coin array a coin circuit applies, and its residual.
 
-    A ``linear-ancilla`` circuit collapses exactly (:func:`linear.coin_blocks`).
+    A ``linear-ancilla`` circuit is read over bit columns
+    (:func:`linear.coin_blocks`), its residual the largest amplitude that
+    does not come home.
     A walk-layout one is read as parity frames (:func:`_read_frames`), and
     its residual is 0.0: the reading is exact, and it certifies that the
     circuit is block-diagonal by its structure, refusing with
@@ -326,12 +324,42 @@ def collapse(circuit: Circuit) -> tuple[np.ndarray, float]:
     return _read_frames(circuit), 0.0
 
 
+def _probe(size: int) -> np.ndarray:
+    """The seeded complex Gaussian probe vector of ``size`` entries."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
 def coin_deviation(circuit: Circuit, coins: np.ndarray) -> float:
-    """``max|U z - blockdiag(coins) z| / max|z|`` for a walk-layout coin
-    circuit ``U`` run through the dense kernel on the seeded probe ``z``: a
-    check of ``U`` against ``coins`` by simulation, independent of the
-    parity-frame reading, which any other ``U`` fails with probability one."""
+    """``max|U z - blockdiag(coins) z| / max|z|`` for a coin circuit ``U`` run
+    on the seeded probe ``z``: a check of ``U`` against ``coins`` by
+    simulation, independent of :func:`collapse`'s reading, which any other
+    ``U`` fails with probability one.  A walk-layout circuit runs through the
+    dense kernel.  A linear-ancilla one runs through the sparse kernel, ``z``
+    spread over its ``2^(n+1)`` data inputs with every ancilla at |0>; any
+    amplitude left off them counts whole (:func:`linear.check_collapse_budget`
+    holds its rows)."""
+    if circuit.registers.layout == "linear-ancilla":
+        return _linear_probe_deviation(circuit, coins)
     return _probe_deviation(circuit, lambda z: _apply_coins(coins, z))
+
+
+def _linear_probe_deviation(circuit: Circuit, coins: np.ndarray) -> float:
+    regs = circuit.registers
+    linear_mod.check_collapse_budget(regs.n)
+    z = _probe(2 << regs.n)
+    data = {regs.embed(j >> 1, j & 1): j for j in range(z.size)}
+    out = statevec.apply_circuit(statevec.SparseState(regs.num_wires, dict(zip(data, z))), circuit)
+    got = np.zeros_like(z)
+    off = 0.0
+    for index, amp in out.items():
+        j = data.get(index)
+        if j is None:
+            off = max(off, abs(amp))
+        else:
+            got[j] = amp
+    got *= np.exp(1j * circuit.global_phase)
+    return max(float(np.max(np.abs(got - _apply_coins(coins, z)))), off) / float(np.max(np.abs(z)))
 
 
 def shift_deviation(circuit: Circuit) -> float:
@@ -347,8 +375,7 @@ def _probe_deviation(circuit: Circuit, expected) -> float:
     phase, so for it the phase factor is exactly 1."""
     q = circuit.num_wires
     statevec.check_dense_vector(q, "a probe")
-    rng = np.random.default_rng(_PROBE_SEED)
-    z = rng.standard_normal(1 << q) + 1j * rng.standard_normal(1 << q)
+    z = _probe(1 << q)
     got = np.exp(1j * circuit.global_phase) * statevec.circuit_unitary(circuit, z.copy())
     return float(np.max(np.abs(got - expected(z)))) / float(np.max(np.abs(z)))
 
@@ -357,14 +384,10 @@ def _coin_array(config: WalkConfig) -> np.ndarray:
     """The walk's ``(2^n, 2, 2)`` coin array: the field, or its builder's circuit collapsed."""
     if config.coin_builder == "dense-oracle":
         return config.field.coins
-    linear = config.coin_builder == "linear"
-    if linear and (wires := RegisterMap.linear(config.n).num_wires) > _MAX_LINEAR_WIRES:
-        raise ToolkitError("backend-infeasible",
-                           f"linear layout needs {wires} wires, cap {_MAX_LINEAR_WIRES}")
     coins, residual = collapse(build_coin(config.coin_builder, config.field, config.truncation))
     if not residual <= CONSTRUCTIONS[config.coin_builder]:
         raise ToolkitError(
-            "ancilla-residual" if linear else "coin-not-block-diagonal",
+            "ancilla-residual" if config.coin_builder == "linear" else "coin-not-block-diagonal",
             f"coin circuit leaves residual {residual:.3e}",
         )
     return coins

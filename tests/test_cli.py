@@ -243,12 +243,12 @@ def test_shift_verify_past_the_matrix_budget_exits_0(capsys, no_large_matrices):
 @pytest.mark.parametrize(
     "argv,code",
     [
-        (["walk", "linear", "9"], "backend-infeasible"),
+        (["walk", "linear", "4"], "dense-limit-exceeded"),
         (["walk", "dense-oracle", "4"], "dense-limit-exceeded"),
         (["verify", "--construction", "naive", "--n", "4"], "dense-limit-exceeded"),
         (["verify", "--construction", "walsh", "--n", "4"], "dense-limit-exceeded"),
         (["shift", "--scheme", "qft", "--n", "4", "--verify"], "dense-limit-exceeded"),
-        # 32,782 wires and 2 GiB of bit rows at n=14; the refusal reads n alone
+        # 32,782 wires and 2 GiB of probe rows at n=14; the refusal reads n alone
         (["verify", "--construction", "linear", "--n", "14"], "dense-limit-exceeded"),
         (["verify", "--construction", "linear", "--n", "24"], "dense-limit-exceeded"),
     ],
@@ -259,7 +259,7 @@ def test_a_request_refused_for_its_size_exits_2_before_any_coin_is_built(
     tmp_path, monkeypatch, capsys, argv, code
 ):
     if argv[0] == "walk":
-        n = int(argv[2])  # 2^(n+1) + n = 1033 linear wires at n = 9, over the cap
+        n = int(argv[2])
         config = {"n": n, "steps": 1, "coin_builder": argv[1],
                   "field": {"n": n, "kind": "k-params", "seed": 1}}
         argv = ["walk", "--config", write_json(tmp_path / "walk.json", config),
@@ -317,8 +317,9 @@ def tiny_rx(regs):
         ("naive", naive, "build_naive", tiny_rx),
         ("walsh", walsh, "build_walsh_coin", tiny_rx),
         ("linear", linear, "build_linear", lambda regs: GateInstance("x", (), (regs.apos(0),))),
+        ("linear", linear, "build_linear", tiny_rx),
     ],
-    ids=["naive-rx", "walsh-rx", "linear-x-on-ancilla"],
+    ids=["naive-rx", "walsh-rx", "linear-x-on-ancilla", "linear-rx"],
 )
 def test_verify_fails_a_coin_circuit_with_one_extra_gate(
     monkeypatch, capsys, construction, module, name, gate_on

@@ -4,6 +4,7 @@ import pytest
 from coinwalk import statevec
 from coinwalk import (
     Circuit,
+    CoinField,
     GateInstance,
     RegisterMap,
     SparseState,
@@ -16,9 +17,11 @@ from coinwalk import (
     circuit_unitary,
     coin_blocks,
     depth,
+    dirac_field,
     predicted_depth,
     random_field,
     total_coin_matrix,
+    walk,
 )
 from oracles import build_q1_naive, identity_field
 
@@ -147,19 +150,24 @@ def test_build_linear_sparse_route_restores_ancillas():
                 assert abs(got - c[2 * k + c_out, 2 * k + coin]) <= 1e-10
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+def constant_field(n):
+    coin = random_field(1, seed=n).coins[0]
+    return CoinField(n, np.broadcast_to(coin, (1 << n, 2, 2)).copy(), {"kind": "constant"})
+
+
+@pytest.mark.parametrize("n", range(1, 10))
 def test_coin_blocks_equal_the_field(n):
-    # Exact: before Q0 every gate permutes rows, and each Q0 gate scales a
-    # lone amplitude 1 by the coin entries.
-    field = random_field(n, seed=30 + n)
-    coins, residual = coin_blocks(build_linear(field))
-    assert coins.shape == (1 << n, 2, 2)
-    assert np.array_equal(coins, field.coins)
-    assert residual == 0.0
+    # Exact: each position's block is a copy of its Q0 coin.  A random, a
+    # trap and a constant field.
+    for field in (random_field(n, seed=30 + n), dirac_field(n, 1.0, 0.5, 1.0, 50.0), constant_field(n)):
+        coins, residual = coin_blocks(build_linear(field))
+        assert coins.shape == (1 << n, 2, 2)
+        assert np.array_equal(coins, field.coins)
+        assert residual == 0.0
 
 
 def test_coin_blocks_equal_one_sparse_run_per_input():
-    # The batched pass against the loop it replaced: one SparseState per
+    # The bit-column reading against the sparse kernel: one SparseState per
     # data input, read the same way.
     circ = build_linear(random_field(3, seed=8))
     regs = circ.registers
@@ -180,27 +188,58 @@ def on_ancilla(circ, *matrices):
     return [GateInstance("u2", (), (circ.registers.apos(1),), matrix=m) for m in matrices]
 
 
+def refused(circ):
+    with pytest.raises(ToolkitError) as err:
+        coin_blocks(circ)
+    return err.value.code == "coin-not-block-diagonal"
+
+
 def test_coin_blocks_see_an_ancilla_left_in_superposition():
-    circ = build_linear(identity_field(2))
-    _, residual = coin_blocks(circ.extended(on_ancilla(circ, H)))
-    assert residual == 1 / np.sqrt(2)
+    # The reading refuses the u2 gate; the sparse probe sees the ancilla's
+    # |1> half, amplitudes of order 1/sqrt(2) off the data inputs.
+    field = identity_field(2)
+    circ = build_linear(field)
+    circ = circ.extended(on_ancilla(circ, H))
+    assert refused(circ)
+    assert walk.coin_deviation(circ, field.coins) > 1e-3
 
 
 def test_coin_blocks_merge_branches_that_meet_again():
     # H then H branches every row and sums the two halves back: the ancilla
-    # returns to |0> and the |1> half cancels exactly.  Each coin entry
-    # picks up 2 h^2 = 1 - 2^-52, so it is equal up to rounding.
+    # returns to |0> and the |1> half cancels.  The reading refuses the u2
+    # gates; the sparse probe passes the circuit, before Q1 or after Q1^dag.
     field = random_field(2, seed=4)
     circ = build_linear(field)
-    coins, residual = coin_blocks(circ.extended(on_ancilla(circ, H, H)))
-    assert residual == 0.0
-    assert np.max(np.abs(coins - field.coins)) <= 1e-15
-    # sqrt(X) then its inverse, before Q1 where every amplitude is 1: all
-    # products and sums are exact in binary, and so are the coins.
+    after = circ.extended(on_ancilla(circ, H, H))
     ahead = Circuit(circ.registers, on_ancilla(circ, SQRT_X, SQRT_X.conj().T) + list(circ.gates))
-    coins, residual = coin_blocks(ahead)
-    assert residual == 0.0
+    for merged in (after, ahead):
+        assert refused(merged)
+        assert walk.coin_deviation(merged, field.coins) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "gate_on",
+    [
+        lambda regs: GateInstance("cnot", (regs.coin(),), (regs.apos(0),)),
+        lambda regs: GateInstance("x", (), (regs.coin(),)),
+        lambda regs: GateInstance("cnot", (regs.position(0),), (regs.coin(),)),
+        lambda regs: GateInstance("rz", (), (regs.apos(0),), 0.5),
+    ],
+    ids=["control-on-the-coin", "x-on-the-coin", "cnot-on-the-coin", "rz"],
+)
+def test_coin_blocks_refuse_a_gate_they_cannot_read(gate_on):
+    circ = build_linear(random_field(2, seed=1))
+    assert refused(circ.extended([gate_on(circ.registers)]))
+
+
+def test_coin_blocks_read_a_cnot_onto_the_coin_that_never_fires():
+    # every b' is back at 0 after the circuit, so this cnot does nothing
+    field = random_field(2, seed=1)
+    circ = build_linear(field)
+    regs = circ.registers
+    coins, residual = coin_blocks(circ.extended([GateInstance("cnot", (regs.apos(1),), (regs.coin(),))]))
     assert np.array_equal(coins, field.coins)
+    assert residual == 0.0
 
 
 def test_coin_blocks_count_a_moved_walker_as_residual():
@@ -220,17 +259,66 @@ def test_coin_blocks_report_an_ancilla_left_set():
     assert residual == 1.0
 
 
+def mutants(n):
+    """Each linear circuit with one cu2 moved to another s wire, one cswap
+    dropped from Q2^dag or one cnot dropped from Q1^dag."""
+    field = random_field(n, seed=n)
+    gates = list(build_linear(field).gates)
+    regs = RegisterMap.linear(n)
+    q0 = len(build_q1_parallel(n).gates) + len(build_q2(n).gates)
+    q2_dag = q0 + (1 << n)
+    q1_dag = q2_dag + len(build_q2(n).gates)
+    for i in range(q0, q2_dag):
+        for m in range(1 << n):
+            if regs.acoin(m) != gates[i].targets[0]:
+                moved = GateInstance("cu2", gates[i].controls, (regs.acoin(m),), matrix=gates[i].matrix)
+                yield gates[:i] + [moved] + gates[i + 1:]
+    for start, end, kind in ((q2_dag, q1_dag, "cswap"), (q1_dag, len(gates), "cnot")):
+        for i in range(start, end):
+            if gates[i].kind == kind:
+                yield gates[:i] + gates[i + 1:]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coin_blocks_refuse_or_flag_every_mutant(n):
+    regs = RegisterMap.linear(n)
+    count = 0
+    for gates in mutants(n):
+        circ = Circuit(regs, gates, {})
+        count += 1
+        try:
+            _, residual = coin_blocks(circ)
+        except ToolkitError as err:
+            assert err.code == "coin-not-block-diagonal"
+        else:
+            assert residual > 0.0
+    assert count > 1 << (2 * n)
+
+
 class Allocated(Exception):
     pass
 
 
+def allocated(*args, **kwargs):
+    raise Allocated
+
+
 @pytest.mark.parametrize("n,refused", [(13, False), (14, True)])
 def test_coin_blocks_check_the_byte_budget_before_allocating(monkeypatch, n, refused):
-    # 2^(n+2) bit rows of (2^(n+1) + 2n + 1) bytes: 0.5 GiB at n=13, 2 GiB at n=14.
-    def allocated(*args):
-        raise Allocated
-
+    # The sparse probe that checks coin_blocks holds 2^(n+1) rows of
+    # (2^(n+1) + n + 16) bytes, twice: 0.5 GiB at n=13, 2 GiB at n=14.
     monkeypatch.setattr(statevec, "SparseState", allocated)
+    empty = Circuit(RegisterMap.linear(n), (), {})
+    with pytest.raises(ToolkitError if refused else Allocated) as err:
+        walk.coin_deviation(empty, np.zeros((1 << n, 2, 2)))
+    if refused:
+        assert err.value.code == "dense-limit-exceeded"
+
+
+@pytest.mark.parametrize("n,refused", [(15, False), (16, True)])
+def test_column_reading_checks_its_byte_budget_before_allocating(monkeypatch, n, refused):
+    # Two columns of 2^n bits per wire: 0.5 GiB at n=15, 2 GiB at n=16.
+    monkeypatch.setattr(np, "arange", allocated)
     empty = Circuit(RegisterMap.linear(n), (), {})
     with pytest.raises(ToolkitError if refused else Allocated) as err:
         coin_blocks(empty)

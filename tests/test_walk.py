@@ -173,6 +173,16 @@ def test_collapse_runs_no_dense_gate_for_naive_or_walsh(monkeypatch):
         walk_module._coin_array(WalkConfig(3, 1, field, coin_builder=builder))
 
 
+def test_linear_walk_runs_no_sparse_gate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linear walk ran the sparse kernel")
+
+    monkeypatch.setattr(statevec.SparseState, "apply_gate", refuse)
+    field = random_field(3, seed=2)
+    config = WalkConfig(3, 2, field, coin_builder="linear")
+    assert tvd(run(config).distribution, oracle(config).distribution) <= 1e-12
+
+
 def _mutated(build, gate):
     def built(field):
         circuit = build(field)
@@ -419,18 +429,30 @@ def test_linear_backend_final_state_has_unit_norm():
     assert np.linalg.norm(result.final_state) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_linear_backend_wire_cap():
-    # 2^(n+1) + n wires at n = 9 is past the linear-layout wire cap.
-    config = WalkConfig(9, 1, identity_field(9), coin_builder="linear")
+def test_linear_backend_wire_cap(monkeypatch):
+    # The linear walk has no cap of its own: the walk layout's dense cap
+    # refuses it, n = 4 on 5 qubits over a cap of 4, before any coin is built.
+    def refuse(field):
+        raise AssertionError("built a linear coin past the dense cap")
+
+    monkeypatch.setattr(statevec, "DENSE_QUBITS_MAX", 4)
+    monkeypatch.setattr(walk_module.linear_mod, "build_linear", refuse)
     with pytest.raises(ToolkitError) as err:
-        run(config)
-    assert err.value.code == "backend-infeasible"
+        run(WalkConfig(4, 1, identity_field(4), coin_builder="linear"))
+    assert err.value.code == "dense-limit-exceeded"
+
+
+def test_linear_backend_matches_oracle_at_n_12():
+    # 8,204 wires: the bit-column reading has no wire cap.
+    n = 12
+    config = WalkConfig(n, 8, random_field(n, seed=12), coin_builder="linear", shift_scheme="id",
+                        initial={"position": 1000, "coin": [1, 1j]})
+    assert tvd(run(config).distribution, oracle(config).distribution) <= 1e-9
 
 
 @pytest.mark.parametrize("scheme", ["qft", "id"])
 def test_linear_backend_matches_oracle_past_the_old_cap(scheme):
-    # n = 7 is 263 wires, past the cap of 160 the linear walk had before
-    # its collapse ran as one batch.
+    # n = 7 is 263 wires, past the cap of 160 the linear walk once had.
     n = 7
     config = WalkConfig(
         n, 6, random_field(n, seed=71), coin_builder="linear", shift_scheme=scheme,
