@@ -175,7 +175,7 @@ def _cmd_shift(args) -> int:
     if args.verify:
         deviation = walk.shift_deviation(circ)
         print(f"max deviation vs permutation oracle: {deviation:.3e}")
-        return 0 if deviation <= 1e-9 else 1
+        return 0 if deviation <= walk.SHIFT_TOL else 1
     return 0
 
 

@@ -11,8 +11,12 @@ wire a classical bit per position or the coin's holder, with every ancilla
 checked back at |0> (:func:`linear.coin_blocks`).  ``coinwalk verify`` also
 simulates either circuit on a probe vector (:func:`coin_deviation`), a check
 independent of the reading.
-Each step of the dense walk-layout vector is then a batched 2x2 coin
-followed by the shift circuit.
+The shift circuit is read once per run as a permutation with phases: run
+once through the dense kernel on two columns, the labels ``1..2N`` and the
+seeded probe, it is certified by the probe and refused with
+``shift-not-permutation`` otherwise (:func:`_read_shift`).  Each step of the
+dense walk-layout vector is then a batched 2x2 coin followed by that
+gather, scaled by the phases.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from . import shift as shift_mod
 __all__ = [
     "CONSTRUCTIONS",
     "Distribution",
+    "SHIFT_TOL",
     "WalkConfig",
     "WalkResult",
     "build_coin",
@@ -55,6 +60,10 @@ __all__ = [
 #: Each coin construction and its limit: the largest collapse residual a walk
 #: admits, and the largest deviation ``coinwalk verify`` admits.
 CONSTRUCTIONS = {"naive": 1e-10, "linear": 1e-10, "walsh": 1e-9}
+
+#: The largest probe deviation a shift circuit admits, against the rolls in
+#: ``coinwalk shift --verify`` and against its own reading in a walk.
+SHIFT_TOL = 1e-9
 
 _NORM_SLACK = 1e-9
 _PROBE_SEED = 20220101
@@ -380,6 +389,32 @@ def _probe_deviation(circuit: Circuit, expected) -> float:
     return float(np.max(np.abs(got - expected(z)))) / float(np.max(np.abs(z)))
 
 
+def _read_shift(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """``(source, phase)`` with ``S v == phase * v[source]`` for a walk-layout
+    shift circuit ``S``.
+
+    ``S`` runs once through the dense kernel on two columns: the labels
+    ``1..2N``, which a permutation with phases carries to
+    ``phase * (source + 1)``, and the seeded probe ``z``.  The reading is
+    refused with ``shift-not-permutation`` unless ``source`` is a permutation
+    and ``max|S z - phase * z[source]| / max|z|`` is within :data:`SHIFT_TOL`,
+    which any other ``S`` fails with probability one.
+    """
+    size = 1 << circuit.num_wires
+    z = _probe(size)
+    out = statevec.apply_circuit(np.column_stack([np.arange(1.0, size + 1), z]), circuit)
+    label = out[:, 0]
+    source = np.rint(np.abs(label)).astype(np.intp) - 1
+    if not np.array_equal(np.sort(source), np.arange(size)):
+        raise ToolkitError("shift-not-permutation", "the shift circuit does not permute the basis")
+    phase = label / (source + 1)
+    deviation = float(np.max(np.abs(out[:, 1] - phase * z[source]))) / float(np.max(np.abs(z)))
+    if not deviation <= SHIFT_TOL:
+        raise ToolkitError(
+            "shift-not-permutation", f"the probe deviates {deviation:.3e} from the permutation read")
+    return source, phase
+
+
 def _coin_array(config: WalkConfig) -> np.ndarray:
     """The walk's ``(2^n, 2, 2)`` coin array: the field, or its builder's circuit collapsed."""
     if config.coin_builder == "dense-oracle":
@@ -396,9 +431,9 @@ def _coin_array(config: WalkConfig) -> np.ndarray:
 def run(config: WalkConfig) -> WalkResult:
     """Evolve per step as coin then shift; exact marginals, optional sampling."""
     statevec.check_dense_vector(config.n + 1, "the walk layout")
-    shift_circuit = shift_mod.build_shift(config.shift_scheme, config.n)
+    source, phase = _read_shift(shift_mod.build_shift(config.shift_scheme, config.n))
     vec = _evolve(initial_state(config), config.steps, _coin_array(config),
-                  lambda v: _norm_checked(statevec.apply_circuit(v, shift_circuit)))
+                  lambda v: _norm_checked(phase * v[source]))
     probs = _marginal_walk(vec)
     return WalkResult(Distribution(probs, _sample(probs, config)), vec)
 
@@ -416,8 +451,29 @@ def config_to_json(config: WalkConfig) -> dict:
         "initial": config.initial,
         "shots": config.shots,
         "seed": config.seed,
-        "field": coin_field_to_json(config.field),
+        "field": _field_to_json(config.field),
     }
+
+
+def _field_to_json(field: CoinField) -> str:
+    """The field as a walk config echoes it: its parametric form, a dirac
+    field's parameters or a k-params field's angles, when reading that text
+    back rebuilds coins equal to ``field.coins``; else the explicit form
+    (:func:`coin_field_to_json`), which formats every number of every coin."""
+    kind = field.meta.get("kind")
+    if kind == "dirac":
+        spec = {"n": field.n, **field.meta}
+    elif kind == "k-params" and "angles" in field.meta:
+        spec = {"n": field.n, "kind": kind, "angles": field.meta["angles"]}
+    else:
+        return coin_field_to_json(field)
+    try:
+        text = json.dumps(spec)
+        if np.array_equal(coin_field_from_json(text).coins, field.coins):
+            return text
+    except (TypeError, ValueError):  # metadata json cannot write, or that does not read back
+        pass
+    return coin_field_to_json(field)
 
 
 def _optional(data: dict, key: str, kind: type):

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 import coinwalk.walk as walk_module
 from coinwalk import statevec
+from coinwalk.shift import SCHEMES, build_shift
 from coinwalk import (
     Circuit,
+    CoinField,
     GateInstance,
     RegisterMap,
     ToolkitError,
@@ -25,8 +27,10 @@ from coinwalk import (
     build_shift_qft,
     build_walsh_coin,
     coin_blocks,
+    coin_field_to_json,
     config_from_json,
     config_to_json,
+    dirac_field,
     full_unitary,
     initial_state,
     matrix_oracle_run,
@@ -390,6 +394,106 @@ def test_dense_oracle_walk_memory(tmp_path):
     assert maxrss_kb * 1024 < 200 * 10**6, f"walk peak RSS {maxrss_kb / 1024:.0f} MiB"
 
 
+# -- the shift read ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("n", range(1, 14))
+def test_shift_read_is_the_rolls_permutation_with_unit_phases(scheme, n):
+    source, phase = walk_module._read_shift(build_shift(scheme, n))
+    assert np.array_equal(source, walk_module._shift_rolls(np.arange(2 << n)))
+    assert np.max(np.abs(phase - 1)) <= walk_module.SHIFT_TOL
+
+
+_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def _with_h_on_a_position_wire(scheme, n):
+    circuit = build_shift(scheme, n)
+    return circuit.extended([GateInstance("u2", (), (circuit.registers.position(0),), matrix=_H, label="h")])
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_walk_refuses_a_shift_that_is_not_a_permutation(monkeypatch, scheme):
+    monkeypatch.setattr(walk_module.shift_mod, "build_shift", _with_h_on_a_position_wire)
+    with pytest.raises(ToolkitError) as err:
+        run(WalkConfig(3, 2, random_field(3, seed=4), shift_scheme=scheme))
+    assert err.value.code == "shift-not-permutation"
+
+
+def test_shift_read_holds_the_probe_to_the_shift_tolerance(monkeypatch):
+    # With no tolerance left the probe check alone refuses a true permutation.
+    monkeypatch.setattr(walk_module, "SHIFT_TOL", -1.0)
+    with pytest.raises(ToolkitError, match="probe deviates") as err:
+        run(WalkConfig(2, 1, random_field(2, seed=4), shift_scheme="id"))
+    assert err.value.code == "shift-not-permutation"
+
+
+def test_shift_refusal_raises_under_python_O(tmp_path):
+    code = "\n".join([
+        "import numpy as np",
+        "import coinwalk.walk as w",
+        "from coinwalk import GateInstance, ToolkitError, random_field",
+        "build = w.shift_mod.build_shift",
+        "h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)",
+        "w.shift_mod.build_shift = lambda scheme, n: build(scheme, n).extended(",
+        "    [GateInstance('u2', (), (1,), matrix=h, label='h')])",
+        "print(__debug__)",
+        "try:",
+        "    w.run(w.WalkConfig(2, 1, random_field(2, seed=0)))",
+        "except ToolkitError as exc:",
+        "    print(exc.code)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "shift-not-permutation"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    n=st.integers(1, 8),
+    steps=st.integers(0, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_walk_matches_a_per_step_circuit_loop(scheme, n, steps, seed):
+    field = random_field(n, seed=seed)
+    config = WalkConfig(n, steps, field, shift_scheme=scheme,
+                        initial={"position": seed % (1 << n), "coin": [[0.6, 0.0], [0.0, 0.8]]})
+    circuit = build_shift(scheme, n)
+    vec = initial_state(config)
+    for _ in range(steps):
+        vec = statevec.apply_circuit(np.einsum("kij,kj->ki", field.coins, vec.reshape(-1, 2)).reshape(-1), circuit)
+    got = run(config)
+    assert np.max(np.abs(got.final_state - vec)) <= 1e-12
+    want = np.abs(vec[0::2]) ** 2 + np.abs(vec[1::2]) ** 2
+    assert np.max(np.abs(got.distribution.probabilities - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_walk_runs_each_shift_gate_once_whatever_its_steps(monkeypatch, scheme):
+    calls = []
+    apply_gate = statevec.apply_gate
+
+    def counted(*args):
+        calls.append(args)
+        return apply_gate(*args)
+
+    monkeypatch.setattr(statevec, "apply_gate", counted)
+    gates = len(build_shift(scheme, 3).gates)
+    for steps in (0, 1, 9):
+        calls.clear()
+        run(WalkConfig(3, steps, random_field(3, seed=2), coin_builder="naive", shift_scheme=scheme))
+        assert len(calls) == gates
+
+
 # -- backends agree ----------------------------------------------------------
 
 
@@ -581,6 +685,40 @@ def test_results_json_is_the_indent_1_document(shots, tvd_vs_oracle):
     if tvd_vs_oracle is not None:
         payload["tvd_vs_oracle"] = tvd_vs_oracle
     assert results_to_json(config, result, tvd_vs_oracle) == json.dumps(payload, indent=1)
+
+
+_ANGLES = [[0.1 * k, 0.2, -0.3 * k, 0.4] for k in range(8)]
+
+
+@pytest.mark.parametrize(
+    "field,form",
+    [
+        (dirac_field(5, 1.0, 0.5, 1.0, 50.0), "parametric"),
+        (dirac_field(3, 2, 0.25, -1, 3, "lattice"), "parametric"),
+        (walk_module.coin_field_from_json({"n": 3, "kind": "k-params", "angles": _ANGLES}), "parametric"),
+        (random_field(4, seed=9), "parametric"),
+        (walk_module.coin_field_from_json(coin_field_to_json(random_field(2, seed=1))), "explicit"),
+        (identity_field(2), "explicit"),
+        # metadata that does not rebuild the coins, or that json cannot write
+        (CoinField(2, random_field(2, seed=1).coins, random_field(2, seed=2).meta), "explicit"),
+        (CoinField(3, dirac_field(3, 1.0, 0.5, 1.0, 50.0).coins, dirac_field(3, 1.0, 0.5, 1.0, 5.0).meta), "explicit"),
+        (dirac_field(2, np.int64(1), 0.5, 1.0, 2.0), "explicit"),
+        (CoinField(2, random_field(2, seed=1).coins, {"kind": "k-params", "angles": _ANGLES}), "explicit"),
+        (CoinField(2, random_field(2, seed=1).coins, {"kind": "k-params", "seed": 1}), "explicit"),
+    ],
+    ids=["dirac", "dirac-lattice-ints", "k-params", "random-field", "explicit", "identity",
+         "wrong-angles", "wrong-dirac", "numpy-int-meta", "angles-of-another-n", "seed-only"],
+)
+def test_results_echo_rebuilds_the_field(field, form):
+    config = WalkConfig(field.n, 2, field)
+    echo = json.loads(results_to_json(config, run(config)))["config"]
+    assert np.array_equal(config_from_json(echo).field.coins, field.coins)
+    if form == "explicit":
+        assert echo["field"] == coin_field_to_json(field)
+    elif field.meta["kind"] == "dirac":
+        assert echo["field"] == json.dumps({"n": field.n, **field.meta})
+    else:
+        assert echo["field"] == json.dumps({"n": field.n, "kind": "k-params", "angles": field.meta["angles"]})
 
 
 def test_results_csv_layout():
