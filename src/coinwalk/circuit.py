@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -96,55 +97,98 @@ _FIXED = {"x": _X, "cnot": _X, "cz": _Z, "swap": _SWAP, "cswap": _SWAP}
 _ANGLED = {"rx": _rx, "ry": _ry, "rz": _rz, "p": _p, "cp": _p}
 
 
-@dataclass(frozen=True, eq=False)
+#: plain ints: wires of this one type skip the slower reads of a wire
+_EXACT_INT = frozenset({int})
+
+
+def _wire_tuple(kind: str, wires) -> tuple[int, ...]:
+    """``wires`` read by ``operator.index`` (numpy integers pass); ``ValueError``
+    for a bool, a float, a string or anything else that is not an integer."""
+    try:
+        given = tuple(wires)
+        out = tuple(map(operator.index, given))
+    except TypeError:
+        out = None
+    if out is None or bool in map(type, given):
+        raise ValueError(f"gate {kind} wires must be integers, got {wires!r:.60}")
+    return out
+
+
 class GateInstance:
     """One gate: a kind, control wires, target wires and its payload.
 
     ``matrix`` (when present) is the unitary on the target wires only;
     controls are implicit.  ``label`` names explicit-matrix gates for
     reporting ("h", coin index, ...).
+
+    An immutable slotted record.  The constructor is its one check: it reads
+    the wires (:func:`_wire_tuple`, skipped for tuples of plain ints) and
+    holds the record to its kind's ``GATE_KINDS`` rule, so a kind carries
+    exactly its payload (an angle, a unitary matrix or neither).  Assigning
+    a field raises ``dataclasses.FrozenInstanceError``; equality and hashing
+    are by identity; copies and pickles are rebuilt through the constructor.
     """
 
-    kind: str
-    controls: tuple[int, ...] = ()
-    targets: tuple[int, ...] = ()
-    angle: float | None = None
-    matrix: np.ndarray | None = None
-    label: str | None = None
+    __slots__ = ("kind", "controls", "targets", "angle", "matrix", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "controls", tuple(map(int, self.controls)))
-        object.__setattr__(self, "targets", tuple(map(int, self.targets)))
-        controls, targets = self.controls, self.targets
-        wires = controls + targets
+    def __init__(self, kind: str, controls=(), targets=(), angle: float | None = None,
+                 matrix: np.ndarray | None = None, label: str | None = None):
+        # every builder passes tuples of plain ints; any other wires are read one by one
+        wires = controls + targets if type(controls) is tuple and type(targets) is tuple else ()
+        if not wires or not _EXACT_INT.issuperset(map(type, wires)):
+            controls, targets = _wire_tuple(kind, controls), _wire_tuple(kind, targets)
+            wires = controls + targets
         if len(set(wires)) != len(wires):
-            raise ToolkitError("duplicate-qubit", f"gate {self.kind} wires {wires}")
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        n_ctl, n_tgt, payload = GATE_KINDS[self.kind]
+            raise ToolkitError("duplicate-qubit", f"gate {kind} wires {wires}")
+        rule = GATE_KINDS.get(kind)
+        if rule is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        n_ctl, n_tgt, payload = rule
         if payload == "angle":
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} needs a finite angle")
-        elif payload == "matrix":
-            if self.matrix is None:
-                raise ValueError(f"{self.kind} needs an explicit matrix")
-            mat = np.asarray(self.matrix, dtype=complex)
-            if mat.shape != (1 << len(targets),) * 2:
+            if angle is None or not math.isfinite(angle):
+                raise ValueError(f"{kind} needs a finite angle")
+        elif angle is not None:
+            raise ValueError(f"{kind} takes no angle")
+        if payload == "matrix":
+            if matrix is None:
+                raise ValueError(f"{kind} needs an explicit matrix")
+            matrix = np.asarray(matrix, dtype=complex)
+            if matrix.shape != (1 << len(targets),) * 2:
                 raise ToolkitError(
                     "gate-arity-mismatch",
-                    f"{self.kind} matrix {mat.shape} on {len(targets)} targets",
+                    f"{kind} matrix {matrix.shape} on {len(targets)} targets",
                 )
-            if not statevec.is_unitary(mat):
-                raise ToolkitError("not-unitary", f"{self.kind} matrix is not unitary")
-            object.__setattr__(self, "matrix", mat)
+            if not statevec.is_unitary(matrix):
+                raise ToolkitError("not-unitary", f"{kind} matrix is not unitary")
+        elif matrix is not None:
+            raise ValueError(f"{kind} takes no matrix")
         if len(targets) != n_tgt or (
             len(controls) != n_ctl if n_ctl is not None else not controls
         ):
             raise ToolkitError(
                 "gate-arity-mismatch",
-                f"{self.kind} takes {'>=1' if n_ctl is None else n_ctl} controls and "
+                f"{kind} takes {'>=1' if n_ctl is None else n_ctl} controls and "
                 f"{n_tgt} targets, got {(len(controls), len(targets))}",
             )
+        _set_kind(self, kind)
+        _set_controls(self, controls)
+        _set_targets(self, targets)
+        _set_angle(self, angle)
+        _set_matrix(self, matrix)
+        _set_label(self, label)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.controls, self.targets, self.angle, self.matrix, self.label)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def wires(self) -> tuple[int, ...]:
@@ -157,6 +201,12 @@ class GateInstance:
         if self.kind in _ANGLED:
             return _ANGLED[self.kind](self.angle)
         return self.matrix
+
+
+# the slot setters, the constructor's way past the raising __setattr__
+_set_kind, _set_controls, _set_targets, _set_angle, _set_matrix, _set_label = (
+    vars(GateInstance)[name].__set__ for name in GateInstance.__slots__
+)
 
 
 def dagger(gate: GateInstance) -> GateInstance:
@@ -216,26 +266,24 @@ class RegisterMap:
             return cls.linear(n)
         raise ValueError(f"unknown circuit layout {layout!r}")
 
-    def _reg(self, name: str) -> range:
-        for reg_name, wires in self.registers:
-            if reg_name == name:
-                return wires
-        raise KeyError(name)
+    def __post_init__(self):
+        # each register's wires by name, so a lookup is one dict read, not a scan
+        object.__setattr__(self, "_wires", dict(self.registers))
 
     def position(self, p: int) -> int:
-        return self._reg("position")[p]
+        return self._wires["position"][p]
 
     def coin(self) -> int:
-        return self._reg("coin")[0]
+        return self._wires["coin"][0]
 
     def acoin(self, m: int) -> int:
         """Ancillary coin s_m; s_0 is the principal coin."""
         if m == 0:
             return self.coin()
-        return self._reg("acoin")[m - 1]
+        return self._wires["acoin"][m - 1]
 
     def apos(self, m: int) -> int:
-        return self._reg("apos")[m]
+        return self._wires["apos"][m]
 
     def embed(self, k: int, c: int) -> int:
         """Basis index of position ``k`` and coin bit ``c``, every other wire at 0."""
@@ -352,21 +400,30 @@ def _gate_text(g: GateInstance) -> str:
 
 
 def _gate_from_dict(d) -> GateInstance:
-    d = checked(d, dict, "a gate")
+    """One gate record.  Fields of their exact JSON types go to the
+    constructor as they are; any other field takes the :func:`checked`
+    path, which converts an integer angle or raises that field's message."""
+    if type(d) is not dict:
+        d = checked(d, dict, "a gate")
+    kind, controls, targets = d.get("kind"), d.get("controls", []), d.get("targets", [])
     angle, matrix, label = d.get("angle"), d.get("matrix"), d.get("label")
     if matrix is not None:
         pairs = float_array(matrix, "a gate matrix")
         if pairs.ndim != 3 or pairs.shape[2] != 2:
             raise ValueError("a gate matrix must be rows of [re, im] pairs")
         matrix = pairs.view(complex)[..., 0]
-    return GateInstance(
-        checked(d.get("kind"), str, "a gate kind"),
-        _wires_from_list(d.get("controls", []), "controls"),
-        _wires_from_list(d.get("targets", []), "targets"),
-        None if angle is None else checked(angle, float, "a gate angle"),
-        matrix,
-        None if label is None else checked(label, str, "a gate label"),
-    )
+    if not (
+        type(kind) is str and type(controls) is list and type(targets) is list
+        and _EXACT_INT.issuperset(map(type, controls)) and _EXACT_INT.issuperset(map(type, targets))
+        and (angle is None or type(angle) is float and math.isfinite(angle))
+        and (label is None or type(label) is str)
+    ):
+        kind = checked(kind, str, "a gate kind")
+        controls = _wires_from_list(controls, "controls")
+        targets = _wires_from_list(targets, "targets")
+        angle = None if angle is None else checked(angle, float, "a gate angle")
+        label = None if label is None else checked(label, str, "a gate label")
+    return GateInstance(kind, tuple(controls), tuple(targets), angle, matrix, label)
 
 
 def _wires_from_list(wires, what: str) -> tuple[int, ...]:
@@ -433,18 +490,23 @@ def circuit_from_json(text: str) -> Circuit:
     """Read a circuit document; ``ValueError`` if it is malformed.
 
     Identical gate records are read once and share one :class:`GateInstance`,
-    as a compiled circuit's repeated gates do (:func:`_gates_from_list`).
+    as a compiled circuit's repeated gates do (:func:`_gates_from_list`).  A
+    record that breaks a gate rule (a repeated wire, a wrong arity, a matrix
+    that is not unitary, a wire outside the layout) is malformed too: its
+    ``ToolkitError`` is raised as a ``ValueError`` with the code in its text.
     """
     payload = checked(json.loads(text), dict, "a circuit document")
     if payload.get("format") != "coinwalk-circuit/1":
         raise ValueError("not a coinwalk circuit document")
     n = statevec.check_document_n(checked(payload.get("n"), int, "n"))
     registers = RegisterMap.for_layout(payload.get("layout"), n)
-    gates = _gates_from_list(payload.get("gates"))
     meta = checked(payload.get("metadata", {}), dict, "metadata")
     checked(meta.get("global_phase", 0.0), float, "metadata.global_phase")
     walsh = meta.get("walsh")
     if walsh is not None:
         terms = checked(checked(walsh, dict, "metadata.walsh").get("terms", []), list, "walsh terms")
         meta["walsh"] = dict(walsh, terms=[tuple(checked(t, list, "a walsh term")) for t in terms])
-    return Circuit(registers, gates, meta)
+    try:
+        return Circuit(registers, _gates_from_list(payload.get("gates")), meta)
+    except ToolkitError as exc:  # a record that breaks a gate rule
+        raise ValueError(str(exc)) from exc

@@ -7,7 +7,8 @@ the field, walk runs an evolution to JSON/CSV, scaling tabulates circuit
 cost against n, and shift builds/probes either shift scheme.  No
 subcommand builds a square matrix.
 
-Exit codes: 0 success, 1 verification failure, 2 usage problems and size refusals.
+Exit codes: 0 success, 1 verification failure, 2 usage problems (a malformed
+document included) and size refusals.
 """
 
 from __future__ import annotations

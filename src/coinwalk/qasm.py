@@ -117,7 +117,7 @@ def from_qasm(text: str) -> Circuit:
     wire_of = {ref: w for w, ref in _wire_names(regs).items()}
     instances = []
     for name, angle, refs in gates:
-        wires = [wire_of.get(r.strip()) for r in refs]
+        wires = tuple(wire_of.get(r.strip()) for r in refs)
         if None in wires:
             raise ValueError(f"{name} names a wire outside layout {layout}: {','.join(refs)}")
         kind = _KIND_OF[name]

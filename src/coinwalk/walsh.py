@@ -168,31 +168,43 @@ def unwrap_angles(values: np.ndarray, n: int) -> np.ndarray:
 _ROT_FOR = {"x": "rx", "y": "ry", "z": "rz"}
 
 
-def _support(j: int) -> list[int]:
-    """Bit positions set in j, ascending."""
-    return [p for p in range(j.bit_length()) if (j >> p) & 1]
+class _Wires(dict):
+    """The walk layout's wires as spec fields, for one build.
+
+    ``coin`` is the coin wire as a 1-tuple; ``wires[j]`` lists the position
+    wires on the bits of ``j``, ascending, each as a 1-tuple.  A ``j`` is
+    worked out the first time it is asked for, so the four series of a coin
+    and the steps of a Gray walk read each term's support once.
+    """
+
+    def __init__(self, regs: RegisterMap):
+        super().__init__()
+        self.coin = (regs.coin(),)
+        self.position = [(regs.position(p),) for p in range(regs.n)]
+
+    def __missing__(self, j: int) -> list[tuple[int]]:
+        support = self[j] = [w for p, w in enumerate(self.position[: j.bit_length()]) if j >> p & 1]
+        return support
 
 
-def _term_specs(regs: RegisterMap, sigma: str, j: int, a: float) -> list[tuple]:
+def _term_specs(wires: _Wires, sigma: str, j: int, a: float) -> list[tuple]:
     """One commuting factor e^{i a w_j (x) sigma}; empty for the sigma=I phase term."""
     if j == 0:
         if sigma == "i":
             return []  # scalar phase, tracked in circuit metadata
-        return [(_ROT_FOR[sigma], (), (regs.coin(),), -2.0 * a)]
-    bits = _support(j)
-    head = regs.position(bits[0])
-    ladder = [("cnot", (regs.position(p),), (head,), None) for p in bits[1:]]
+        return [(_ROT_FOR[sigma], (), wires.coin, -2.0 * a)]
+    head, *rest = wires[j]
+    ladder = [("cnot", control, head, None) for control in rest]
     if sigma == "i":
-        middle = [("rz", (), (head,), -2.0 * a)]
+        middle = [("rz", (), head, -2.0 * a)]
     else:
-        coin = regs.coin()
-        ent = ("cz" if sigma == "x" else "cnot", (head,), (coin,), None)
-        middle = [ent, (_ROT_FOR[sigma], (), (coin,), -2.0 * a), ent]
+        ent = ("cz" if sigma == "x" else "cnot", head, wires.coin, None)
+        middle = [ent, (_ROT_FOR[sigma], (), wires.coin, -2.0 * a), ent]
     return ladder + middle + ladder[::-1]
 
 
-def _product_specs(regs: RegisterMap, sigma: str, terms) -> list[tuple]:
-    return [spec for j, a in terms for spec in _term_specs(regs, sigma, j, a)]
+def _product_specs(wires: _Wires, sigma: str, terms) -> list[tuple]:
+    return [spec for j, a in terms for spec in _term_specs(wires, sigma, j, a)]
 
 
 def _cancel_common_target_runs(specs: list[tuple]) -> list[tuple]:
@@ -228,7 +240,7 @@ def _cancel_common_target_runs(specs: list[tuple]) -> list[tuple]:
     return out
 
 
-def _gray_specs(regs: RegisterMap, sigma: str, ordered_terms) -> list[tuple]:
+def _gray_specs(wires: _Wires, sigma: str, ordered_terms) -> list[tuple]:
     """Merged emission of the given terms, consecutive parity sets shared.
 
     For sigma != I every term folds its whole parity set onto the coin wire
@@ -238,16 +250,16 @@ def _gray_specs(regs: RegisterMap, sigma: str, ordered_terms) -> list[tuple]:
     cancellation pass.
     """
     if sigma == "i":
-        return _cancel_common_target_runs(_product_specs(regs, sigma, ordered_terms))
-    coin = regs.coin()
+        return _cancel_common_target_runs(_product_specs(wires, sigma, ordered_terms))
+    coin = wires.coin
     rot_kind = _ROT_FOR[sigma]
     ent_kind = "cz" if sigma == "x" else "cnot"
     specs: list[tuple] = []
     current = 0
     for j, a in ordered_terms + [(0, None)]:
-        specs.extend((ent_kind, (regs.position(p),), (coin,), None) for p in _support(current ^ j))
+        specs.extend((ent_kind, control, coin, None) for control in wires[current ^ j])
         if a is not None:
-            specs.append((rot_kind, (), (coin,), -2.0 * a))
+            specs.append((rot_kind, (), coin, -2.0 * a))
         current = j
     return specs
 
@@ -273,7 +285,7 @@ def _gray_entanglers(ordered_terms) -> int:
     return sum((s ^ t).bit_count() for s, t in zip(supports, supports[1:]))
 
 
-def _choose_form(regs: RegisterMap, sigma: str, terms, optimize: bool = True):
+def _choose_form(wires: _Wires, sigma: str, terms, optimize: bool = True):
     """(specs, term order, optimized) of the form to emit.
 
     With ``optimize`` the Gray form is taken when it has strictly fewer
@@ -283,13 +295,13 @@ def _choose_form(regs: RegisterMap, sigma: str, terms, optimize: bool = True):
     if optimize:
         ordered = sorted(terms, key=lambda t: _gray_rank(t[0]))
         if sigma == "i":
-            gray = _gray_specs(regs, sigma, ordered)
+            gray = _gray_specs(wires, sigma, ordered)
             gray_count = sum(1 for spec in gray if spec[0] == "cnot")
         else:
             gray, gray_count = None, _gray_entanglers(ordered)
         if gray_count < _product_entanglers(sigma, terms):
-            return gray if gray is not None else _gray_specs(regs, sigma, ordered), ordered, True
-    return _product_specs(regs, sigma, terms), terms, False
+            return gray if gray is not None else _gray_specs(wires, sigma, ordered), ordered, True
+    return _product_specs(wires, sigma, terms), terms, False
 
 
 def _gates(specs) -> list[GateInstance]:
@@ -325,7 +337,7 @@ def build_walsh(series: WalshSeries, sigma: str, optimize: bool = True) -> Circu
     regs = RegisterMap.walk(series.n)
     terms = series.terms()
     phase = _phase_of(sigma, terms)
-    specs, terms, optimized = _choose_form(regs, sigma, terms, optimize)
+    specs, terms, optimized = _choose_form(_Wires(regs), sigma, terms, optimize)
     meta = {
         "builder": "walsh",
         "n": series.n,
@@ -350,10 +362,11 @@ def gray_code_optimize(circuit: Circuit) -> Circuit:
     sigma = _sigma_key(info["sigma"])
     terms = [(int(j), float(a)) for j, a in info["terms"]]
     regs = circuit.registers
+    wires = _Wires(regs)
     given = [(g.kind, g.controls, g.targets, g.angle) for g in circuit.gates]
-    if given != _product_specs(regs, sigma, terms):
+    if given != _product_specs(wires, sigma, terms):
         raise ToolkitError("not-walsh-form", "gate list is not the builder's product form")
-    specs, ordered, optimized = _choose_form(regs, sigma, terms)
+    specs, ordered, optimized = _choose_form(wires, sigma, terms)
     if not optimized:
         return circuit
     meta = dict(circuit.metadata)
@@ -380,9 +393,10 @@ def build_walsh_coin(field: CoinField, m: int | None = None, optimize: bool = Tr
     if m is not None:
         series = [truncate(s, m) for s in series]
     regs = RegisterMap.walk(field.n)
+    wires = _Wires(regs)
     specs: list[tuple] = []
     for idx, sigma in [(3, "z"), (2, "y"), (1, "z"), (0, "i")]:
-        specs += _choose_form(regs, sigma, series[idx].terms(), optimize)[0]
+        specs += _choose_form(wires, sigma, series[idx].terms(), optimize)[0]
     meta = {
         "builder": "walsh-coin",
         "n": field.n,

@@ -92,7 +92,7 @@ def build_q1_naive(n: int) -> Circuit:
 
 def walsh_product_gates(regs, sigma, terms):
     """Fragment-per-term gate list, in the given term order (the builder's product form)."""
-    return walsh._gates(walsh._product_specs(regs, sigma, terms))
+    return walsh._gates(walsh._product_specs(walsh._Wires(regs), sigma, terms))
 
 
 def decompose_mcu(controls, target: int, u: np.ndarray) -> list[GateInstance]:

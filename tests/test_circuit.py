@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -69,6 +72,63 @@ def test_explicit_matrix_must_be_unitary():
     with pytest.raises(ToolkitError) as err:
         GateInstance("cu2", controls=(1,), targets=(0,), matrix=np.eye(4))
     assert err.value.code == "gate-arity-mismatch"
+
+
+@pytest.mark.parametrize("wire", [0.9, 1.0, "1", True, False, None])
+def test_a_wire_that_is_not_an_integer_is_refused(wire):
+    # int() read 0.9 as wire 0 and "1" and True as wire 1
+    for controls, targets in [((), (wire,)), ((wire,), (3,)), ([], [wire])]:
+        with pytest.raises(ValueError, match="wires must be integers"):
+            GateInstance("cnot" if controls else "x", controls, targets)
+
+
+def test_numpy_integer_wires_read_as_plain_ints():
+    g = GateInstance("cnot", [np.int64(2)], np.array([0]))
+    assert g.controls == (2,) and g.targets == (0,)
+    assert {type(w) for w in g.wires} == {int}
+    assert GateInstance("x", (), range(3, 4)).targets == (3,)
+
+
+@pytest.mark.parametrize(
+    "kind,controls,targets,payload,message",
+    [
+        ("x", (), (0,), {"angle": 0.3}, "x takes no angle"),
+        ("cswap", (0,), (1, 2), {"angle": 0.0}, "cswap takes no angle"),
+        ("cnot", (1,), (0,), {"matrix": np.eye(2)}, "cnot takes no matrix"),
+        ("rz", (), (0,), {"angle": 0.3, "matrix": np.zeros((2, 2))}, "rz takes no matrix"),
+        ("cp", (1,), (0,), {"angle": 0.3, "matrix": np.eye(2)}, "cp takes no matrix"),
+        ("u2", (), (0,), {"angle": 0.3, "matrix": np.eye(2)}, "u2 takes no angle"),
+    ],
+)
+def test_a_kind_carries_exactly_its_payload(kind, controls, targets, payload, message):
+    with pytest.raises(ValueError, match=message) as err:
+        GateInstance(kind, controls, targets, **payload)
+    assert type(err.value) is ValueError
+
+
+def test_a_gate_is_frozen_and_copies_and_pickles_field_for_field():
+    q = euler_matrix(0.1, 0.2, 0.3, 0.4)
+    gates = [
+        GateInstance("u2", targets=(1,), matrix=q, label="h"),
+        GateInstance("cp", controls=(2,), targets=(0,), angle=-0.4),
+        GateInstance("cswap", controls=(0,), targets=(1, 2)),
+    ]
+    for g in gates:
+        assert not hasattr(g, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.kind = "x"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del g.angle
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert type(twin) is GateInstance and twin is not g and twin != g
+            assert (twin.kind, twin.controls, twin.targets, twin.angle, twin.label) == (
+                g.kind, g.controls, g.targets, g.angle, g.label)
+            assert (twin.matrix is None) == (g.matrix is None)
+            if g.matrix is not None:
+                assert np.array_equal(twin.matrix, g.matrix)
+    assert len({*gates, *gates}) == len(gates)  # hashing is by identity
 
 
 def test_matrix_on_targets_matches_definitions():

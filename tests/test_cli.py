@@ -232,6 +232,27 @@ def test_bad_circuit_json_is_a_usage_error(tmp_path, capsys, edit):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "record,text",
+    [
+        ({"kind": "cnot", "controls": [1], "targets": [1]}, "duplicate-qubit"),
+        ({"kind": "cswap", "controls": [0], "targets": [1]}, "gate-arity-mismatch"),
+        ({"kind": "x", "targets": [3]}, "index-out-of-range"),
+        ({"kind": "u2", "targets": [0], "matrix": [[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+         "not-unitary"),
+        ({"kind": "x", "targets": [0], "angle": 0.3}, "x takes no angle"),
+    ],
+    ids=["duplicate-wire", "wrong-arity", "wire-out-of-range", "non-unitary-matrix", "stray-angle"],
+)
+def test_a_gate_record_that_breaks_a_gate_rule_exits_2(tmp_path, capsys, record, text):
+    # a malformed document exits 2, not 1, the code of a failed verification
+    doc = {"format": "coinwalk-circuit/1", "n": 2, "layout": "walk", "metadata": {}, "gates": [record]}
+    rc = main(["analyze", "--circuit", write_json(tmp_path / "bad.json", doc)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and text in err
+
+
 def test_shift_verify_past_the_matrix_budget_exits_0(capsys, no_large_matrices):
     # n=13 is 14 wires, inside the qubit cap; a 2^14-square matrix would
     # take 4 GiB, and the probe needs none.

@@ -333,6 +333,43 @@ def test_readers_still_read_their_writers():
         assert coin_field_from_json(json.dumps(doc)).n == 1
 
 
+ZERO_MATRIX = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ({"kind": "x", "targets": [0], "angle": 0.3}, "x takes no angle"),
+        ({"kind": "cnot", "controls": [1], "targets": [0], "angle": 0.0}, "cnot takes no angle"),
+        ({"kind": "rz", "targets": [0], "angle": 0.3, "matrix": ZERO_MATRIX}, "rz takes no matrix"),
+        ({"kind": "x", "targets": [0], "matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+         "x takes no matrix"),
+    ],
+)
+def test_a_record_with_a_payload_its_kind_does_not_take_is_refused(record, message):
+    doc = circuit_doc()
+    for gates in ([record], [record, record], doc["gates"] + [record]):
+        with pytest.raises(ValueError, match=message) as err:
+            circuit_from_json(json.dumps(dict(doc, gates=gates)))
+        assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "record,code",
+    [
+        ({"kind": "cnot", "controls": [1], "targets": [1]}, "duplicate-qubit"),
+        ({"kind": "cnot", "targets": [1]}, "gate-arity-mismatch"),
+        ({"kind": "x", "targets": [3]}, "index-out-of-range"),
+        ({"kind": "u2", "targets": [0], "matrix": ZERO_MATRIX}, "not-unitary"),
+    ],
+)
+def test_a_record_that_breaks_a_gate_rule_is_a_value_error_with_its_code(record, code):
+    doc = circuit_doc()
+    with pytest.raises(ValueError, match=code) as err:
+        circuit_from_json(json.dumps(dict(doc, gates=doc["gates"] + [record])))
+    assert isinstance(err.value.__cause__, ToolkitError) and err.value.__cause__.code == code
+
+
 def test_identical_gate_records_share_one_gate():
     doc = circuit_doc()
     doc["gates"] += copy.deepcopy(doc["gates"])

@@ -275,7 +275,7 @@ def test_gray_pass_kept_only_on_strict_gain():
 def test_gray_order_follows_given_terms():
     # Entanglers between consecutive rotations toggle the support difference.
     regs = RegisterMap.walk(2)
-    gates = walsh._gates(walsh._gray_specs(regs, "z", [(1, 0.1), (3, 0.2), (2, 0.3)]))
+    gates = walsh._gates(walsh._gray_specs(walsh._Wires(regs), "z", [(1, 0.1), (3, 0.2), (2, 0.3)]))
     kinds = [g.kind for g in gates]
     assert kinds == ["cnot", "rz", "cnot", "rz", "cnot", "rz", "cnot"]
 
@@ -318,7 +318,7 @@ def test_chooser_closed_forms_count_the_emitted_entanglers(sigma):
             product = walsh_product_gates(regs, sigma, terms)
             assert walsh._product_entanglers(sigma, terms) == entanglers(product)
             if sigma != "i":
-                gray = walsh._gates(walsh._gray_specs(regs, sigma, ordered))
+                gray = walsh._gates(walsh._gray_specs(walsh._Wires(regs), sigma, ordered))
                 assert walsh._gray_entanglers(ordered) == entanglers(gray)
 
 
@@ -327,13 +327,13 @@ def test_walsh_coin_constructs_each_gate_once(n, monkeypatch):
     # One construction per distinct object, and one object per distinct
     # (kind, controls, targets, angle) record: repeats share their gate.
     built = []
-    post_init = GateInstance.__post_init__
+    init = GateInstance.__init__
 
-    def counting(self):
-        built.append(self.kind)
-        post_init(self)
+    def counting(self, kind, *args):
+        built.append(kind)
+        init(self, kind, *args)
 
-    monkeypatch.setattr(GateInstance, "__post_init__", counting)
+    monkeypatch.setattr(GateInstance, "__init__", counting)
     circuit = build_walsh_coin(random_field(n, seed=n))
     records = set(gate_tuples(circuit))
     assert len(built) == len({id(g) for g in circuit.gates}) == len(records)
@@ -398,7 +398,7 @@ def test_one_pass_cancel_on_phase_series():
     for n, series in cases:
         regs = RegisterMap.walk(n)
         ordered = sorted(series.terms(), key=lambda t: walsh._gray_rank(t[0]))
-        specs = walsh._product_specs(regs, "i", ordered)
+        specs = walsh._product_specs(walsh._Wires(regs), "i", ordered)
         assert walsh._cancel_common_target_runs(specs) == iterative_cancel(specs)
 
 
