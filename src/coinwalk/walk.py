@@ -12,8 +12,9 @@ checked back at |0> (:func:`linear.coin_blocks`).  ``coinwalk verify`` also
 simulates either circuit on a probe vector (:func:`coin_deviation`), a check
 independent of the reading.
 The shift circuit is read once per run as a permutation with phases: run
-once through the dense kernel on two columns, the labels ``1..2N`` and the
-seeded probe, it is certified by the probe and refused with
+once through the dense kernel on three columns, the labels ``1..2N``, the
+all-ones vector that carries the phases, and the seeded probe, it is
+certified by the probe and refused with
 ``shift-not-permutation`` otherwise (:func:`_read_shift`).  Each step of the
 dense walk-layout vector is then a batched 2x2 coin followed by that
 gather, scaled by the phases.
@@ -393,22 +394,25 @@ def _read_shift(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     """``(source, phase)`` with ``S v == phase * v[source]`` for a walk-layout
     shift circuit ``S``.
 
-    ``S`` runs once through the dense kernel on two columns: the labels
+    ``S`` runs once through the dense kernel on three columns: the labels
     ``1..2N``, which a permutation with phases carries to
-    ``phase * (source + 1)``, and the seeded probe ``z``.  The reading is
+    ``phase * (source + 1)``, the all-ones vector, which it carries to
+    ``phase``, and the seeded probe ``z``.  The phases are read from the ones
+    column, not as ``label / (source + 1)``: the labels' rounding error scales
+    with the largest label, so the small labels would carry relative phase
+    errors near 1e-12 into every step.  The reading is
     refused with ``shift-not-permutation`` unless ``source`` is a permutation
     and ``max|S z - phase * z[source]| / max|z|`` is within :data:`SHIFT_TOL`,
     which any other ``S`` fails with probability one.
     """
     size = 1 << circuit.num_wires
     z = _probe(size)
-    out = statevec.apply_circuit(np.column_stack([np.arange(1.0, size + 1), z]), circuit)
-    label = out[:, 0]
-    source = np.rint(np.abs(label)).astype(np.intp) - 1
+    out = statevec.apply_circuit(np.column_stack([np.arange(1.0, size + 1), np.ones(size), z]), circuit)
+    source = np.rint(np.abs(out[:, 0])).astype(np.intp) - 1
     if not np.array_equal(np.sort(source), np.arange(size)):
         raise ToolkitError("shift-not-permutation", "the shift circuit does not permute the basis")
-    phase = label / (source + 1)
-    deviation = float(np.max(np.abs(out[:, 1] - phase * z[source]))) / float(np.max(np.abs(z)))
+    phase = out[:, 1]
+    deviation = float(np.max(np.abs(out[:, 2] - phase * z[source]))) / float(np.max(np.abs(z)))
     if not deviation <= SHIFT_TOL:
         raise ToolkitError(
             "shift-not-permutation", f"the probe deviates {deviation:.3e} from the permutation read")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coinwalk.walk as walk_module
@@ -405,6 +405,16 @@ def test_shift_read_is_the_rolls_permutation_with_unit_phases(scheme, n):
     assert np.max(np.abs(phase - 1)) <= walk_module.SHIFT_TOL
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_shift_phases_are_read_to_rounding_at_every_label(scheme):
+    # Read as label / (source + 1), the phases of the small labels carried the
+    # rounding of the largest ones (4e-13 at n = 8 for the QFT shift), which
+    # a walk of ten steps grew past 1e-12.
+    for n in (4, 8, 13):
+        _, phase = walk_module._read_shift(build_shift(scheme, n))
+        assert np.max(np.abs(phase - 1)) <= 1e-14
+
+
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
@@ -463,6 +473,7 @@ def test_shift_refusal_raises_under_python_O(tmp_path):
     steps=st.integers(0, 30),
     seed=st.integers(0, 2**16),
 )
+@example(scheme="qft", n=8, steps=9, seed=0)
 def test_walk_matches_a_per_step_circuit_loop(scheme, n, steps, seed):
     field = random_field(n, seed=seed)
     config = WalkConfig(n, steps, field, shift_scheme=scheme,
