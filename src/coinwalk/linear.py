@@ -174,9 +174,10 @@ def check_collapse_budget(n: int) -> None:
     :data:`statevec.MATRIX_BYTES_MAX`.
 
     The probe holds ``2^(n+1)`` rows, one per data input, each one byte per
-    wire of the layout plus a 16-byte amplitude, and the sparse kernel writes
-    a new copy of them at every gate: ``2 * 2^(n+1) * (wires + 16)`` bytes;
-    ``"dense-limit-exceeded"`` over it.
+    wire of the layout plus a 16-byte amplitude, and each gate of the sparse
+    kernel writes its output beside its input, a new bit matrix always and a
+    new amplitude vector unless the gate is an exact X or SWAP:
+    ``2 * 2^(n+1) * (wires + 16)`` bytes; ``"dense-limit-exceeded"`` over it.
     """
     _check_bytes(2 * (2 << n) * (RegisterMap.linear(n).num_wires + 16), f"the probe of n={n}")
 

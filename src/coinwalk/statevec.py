@@ -14,9 +14,11 @@ slices of a dense array in place, with no ``tensordot`` (see ``_apply_matrix_inp
 
 A :class:`SparseState` keeps only its nonzero amplitudes, as arrays: one bit
 row per amplitude and a complex vector beside them, so it reaches any number
-of wires.  The library runs it in one place: ``walk.coin_deviation`` sends a
-probe vector over a linear-ancilla circuit's data inputs through it, a check
-by simulation independent of the bit-column reading (``linear.coin_blocks``).
+of wires.  An exact X or SWAP (x, cnot, swap, cswap) XORs the bit columns it
+changes into a copy of the bit matrix and shares the amplitude vector.  The
+library runs it in one place: ``walk.coin_deviation`` sends a probe vector
+over a linear-ancilla circuit's data inputs through it, a check by
+simulation independent of the bit-column reading (``linear.coin_blocks``).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
 ATOL_UNITARY = 1e-10
 PRUNE_TOL = 1e-14
 
+_X_ROWS = [[0, 1], [1, 0]]
 _SWAP_ROWS = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
 
 #: Largest qubit count of a dense vector, and of each axis of a dense matrix.
@@ -249,17 +252,28 @@ def _row_keys(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(dest, factor)`` if every row and column of ``mat`` has one nonzero entry.
+def _monomial(rows: list) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(dest, factor)`` if every row and column of the matrix ``rows`` (a
+    nested list) has one nonzero entry.
 
     Column ``j`` then goes to row ``dest[j]``, scaled by ``factor[j]``.
     """
-    rows, cols = np.nonzero(mat)
-    if rows.tolist() != list(range(len(mat))) or len(set(cols.tolist())) != len(mat):
-        return None
-    dest = np.empty_like(rows)
-    dest[cols] = rows
-    return dest, mat[dest, np.arange(len(mat))]
+    dest = {}
+    for i, row in enumerate(rows):
+        nonzero = [j for j, v in enumerate(row) if v != 0]
+        if len(nonzero) != 1 or nonzero[0] in dest:
+            return None
+        dest[nonzero[0]] = i
+    order = [dest[j] for j in range(len(rows))]
+    return np.array(order), np.array([rows[i][j] for j, i in enumerate(order)], dtype=complex)
+
+
+def _local_index(bits: np.ndarray, targets: tuple) -> np.ndarray:
+    """Gate-local index of every bit row, ``targets[0]`` the top bit."""
+    col = bits[:, targets[0]].astype(np.intp)
+    for t in targets[1:]:
+        col = (col << 1) | bits[:, t]
+    return col
 
 
 class SparseState:
@@ -268,14 +282,23 @@ class SparseState:
     Row ``r`` of a bool matrix of shape ``(rows, num_qubits)`` holds the bits
     of one basis index, column ``w`` being wire ``w``; entry ``r`` of a
     complex vector is its amplitude.  Rows are distinct.  Each gate acts on
-    every row at once.  A monomial gate (one nonzero entry in each row and
-    each column of its matrix: x, cnot, swap, cswap, cz, p, any unitary
-    diagonal) rewrites each selected row in place.  Any other gate branches
-    the selected rows over its output columns and sums rows that land on the
-    same index.  Amplitudes at or below :data:`PRUNE_TOL` in magnitude are
-    dropped after every gate, so memory tracks the support rather than the
-    full Hilbert space, and indices may exceed 64 bits.  A state never
-    changes: :meth:`apply_gate` returns the state after the gate.
+    every row at once, and its matrix entries, compared exactly, choose the
+    path:
+
+    - exactly X on one target or SWAP on two, with any controls (x, cnot,
+      swap, cswap): copy the bit matrix once and XOR the target columns of
+      the selected rows; the new state shares this one's amplitude vector;
+    - any other monomial matrix (one nonzero entry in each row and each
+      column: cz, p, any unitary diagonal): a new bit matrix with the
+      selected rows' target bits moved, and each amplitude scaled;
+    - anything else: branch the selected rows over the output columns and
+      sum rows that land on the same index.
+
+    Amplitudes at or below :data:`PRUNE_TOL` in magnitude are dropped after
+    every gate, so memory tracks the support rather than the full Hilbert
+    space, and indices may exceed 64 bits.  A state never changes, and no
+    gate writes to an array of an existing state: :meth:`apply_gate`
+    returns the state after the gate.
     """
 
     __slots__ = ("num_qubits", "_bits", "_amps", "_view")
@@ -304,6 +327,10 @@ class SparseState:
         keep = np.abs(amps) > PRUNE_TOL
         if not keep.all():
             bits, amps = bits[keep], amps[keep]
+        return self._with_bits(bits, amps)
+
+    def _with_bits(self, bits: np.ndarray, amps: np.ndarray) -> "SparseState":
+        """A state over ``bits`` and ``amps`` as given, with no prune pass."""
         state = SparseState.__new__(SparseState)
         state.num_qubits = self.num_qubits
         state._set_rows(bits, amps)
@@ -327,37 +354,52 @@ class SparseState:
         controls = tuple(controls)
         _validate_wires(self.num_qubits, targets, controls, mat.shape[0])
         bits, amps = self._bits, self._amps
-        on = np.ones(amps.size, dtype=bool)  # rows with every control set
-        for c in controls:
-            on &= bits[:, c]
-        if not on.any():
-            return self
-        col = np.zeros(amps.size, dtype=np.intp)  # gate-local index; targets[0] on top
-        for t in targets:
-            col = (col << 1) | bits[:, t]
-        move = _monomial(mat)
+        if controls:  # rows with every control set; one control is a column view
+            on = bits[:, controls[0]]
+            for c in controls[1:]:
+                on = on & bits[:, c]
+            if not np.count_nonzero(on):
+                return self
+        else:
+            on = np.ones(amps.size, dtype=bool)
+        rows = mat.tolist()
+        if len(targets) == 1 and rows == _X_ROWS or len(targets) == 2 and rows == _SWAP_ROWS:
+            # An exact X or SWAP only moves bits: XOR the columns it changes
+            # into one copy of the bit matrix and share the amplitude vector.
+            flip = on if len(targets) == 1 else (bits[:, targets[0]] ^ bits[:, targets[1]]) & on
+            new_bits = bits.copy()
+            for t in targets:
+                new_bits[:, t] ^= flip
+            return self._with_bits(new_bits, amps)
+        move = _monomial(rows)
         if move is not None:
             dest, factor = move
+            col = _local_index(bits, targets)
             new_col = np.where(on, dest[col], col)
             new_bits = bits.copy()
             for i, t in enumerate(reversed(targets)):
                 new_bits[:, t] = (new_col >> i) & 1
             return self._with_rows(new_bits, np.where(on, amps * factor[col], amps))
-        # Branch: rows that differ only on the targets share a base row and
-        # mix; vals[u, j] is the amplitude of base u with its targets at j.
+        # Branch: selected rows that differ only on the targets share a base
+        # row and mix; vals[u, j] is the amplitude of base u with its targets
+        # at j.  Only outputs over PRUNE_TOL are kept, and the unselected
+        # rows are the input's own, so the result needs no prune pass.
         sel = np.flatnonzero(on)
         base = bits[sel]
+        col = _local_index(base, targets)
         base[:, targets] = False
         _, first, inverse = np.unique(_row_keys(base), return_index=True, return_inverse=True)
-        vals = np.zeros((first.size, mat.shape[0]), dtype=complex)
-        vals[inverse, col[sel]] = amps[sel]
+        vals = np.zeros((first.size, len(rows)), dtype=complex)
+        vals[inverse, col] = amps[sel]
         out = vals @ mat.T
         u, row = np.nonzero(np.abs(out) > PRUNE_TOL)
         grown = base[first[u]]
         for i, t in enumerate(reversed(targets)):
             grown[:, t] = (row >> i) & 1
-        return self._with_rows(
-            np.concatenate([bits[~on], grown]), np.concatenate([amps[~on], out[u, row]])
+        off = ~on
+        return self._with_bits(
+            np.concatenate([bits.compress(off, axis=0), grown]),
+            np.concatenate([amps.compress(off), out[u, row]]),
         )
 
     def amplitude(self, index: int) -> complex:
@@ -374,7 +416,12 @@ class SparseState:
 
 
 def apply_circuit(state, circuit):
-    """Run every gate of a circuit over a dense vector or SparseState."""
+    """Run every gate of a circuit over a dense vector or SparseState, one
+    :func:`apply_gate` or :meth:`SparseState.apply_gate` call per gate."""
+    if isinstance(state, SparseState):
+        for gate in circuit.gates:
+            state = state.apply_gate(gate.matrix_on_targets(), gate.targets, gate.controls)
+        return state
     for gate in circuit.gates:
         state = apply_gate(state, gate.matrix_on_targets(), gate.targets, gate.controls)
     return state

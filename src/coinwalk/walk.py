@@ -133,11 +133,17 @@ def _start(config: WalkConfig) -> tuple[int, np.ndarray]:
     if not 0 <= k < 1 << config.n:
         raise ValueError(f"initial position {k} is outside 0..{(1 << config.n) - 1}")
     raw = spec.get("coin", [1, 0])
-    amps = np.array([complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in raw])
-    norm = np.linalg.norm(amps)
-    if amps.shape != (2,) or not 0 < norm < np.inf:
+    amps = np.array([complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in raw],
+                    dtype=complex)
+    parts = amps.view(float)  # the real and imaginary parts
+    top = np.abs(parts).max() if amps.shape == (2,) else 0.0
+    if not 0 < top < np.inf:
         raise ValueError("coin amplitude spec must be two entries of finite, nonzero norm")
-    return k, amps / norm
+    # Scaled by a power of two near the largest part, the norm cannot
+    # overflow, and the quotient is exactly amps / norm(amps) wherever that
+    # does not overflow or underflow.
+    amps = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
+    return k, amps / np.linalg.norm(amps)
 
 
 def initial_state(config: WalkConfig) -> np.ndarray:

@@ -123,6 +123,25 @@ def test_walk_csv_extension_switches_format(tmp_path):
     assert len(lines) == 5
 
 
+def test_an_output_is_rewritten_without_o_trunc_and_cut_at_its_new_end(tmp_path, monkeypatch):
+    # cli._write never truncates to zero (ext4 flushes such a file on close);
+    # a longer old output is cut, so the file holds exactly the new text.
+    config = WalkConfig(2, 1, random_field(2, seed=4))
+    cfg = write_json(tmp_path / "config.json", config_to_json(config))
+    out = tmp_path / "result.json"
+    argv = ["walk", "--config", cfg, "--out", str(out)]
+    assert main(argv) == 0
+    fresh = out.read_bytes()
+    out.write_bytes(b"x" * 100_000)
+    flags = []
+    os_open = os.open
+    monkeypatch.setattr(os, "open", lambda path, flag, *rest: flags.append(flag) or os_open(path, flag, *rest))
+    assert main(argv) == 0
+    assert out.read_bytes() == fresh
+    assert flags and not any(flag & os.O_TRUNC for flag in flags)
+    assert main(["walk", "--config", cfg, "--out", os.devnull]) == 0  # a device is only written
+
+
 def test_scaling_table(tmp_path):
     out = tmp_path / "linear.csv"
     rc = main(

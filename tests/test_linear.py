@@ -217,6 +217,23 @@ def test_coin_blocks_merge_branches_that_meet_again():
         assert walk.coin_deviation(merged, field.coins) <= 1e-12
 
 
+def test_the_probe_applies_each_gate_once_through_the_sparse_state(monkeypatch):
+    # Every gate of verify's linear probe is one SparseState.apply_gate call,
+    # the span a traced benchmark times it under.
+    field = random_field(3, seed=5)
+    circ = build_linear(field)
+    calls = []
+    sparse_apply = statevec.SparseState.apply_gate
+
+    def counted(state, *args):
+        calls.append(args)
+        return sparse_apply(state, *args)
+
+    monkeypatch.setattr(statevec.SparseState, "apply_gate", counted)
+    assert walk.coin_deviation(circ, field.coins) <= 1e-12
+    assert len(calls) == len(circ.gates)
+
+
 @pytest.mark.parametrize(
     "gate_on",
     [

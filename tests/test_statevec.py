@@ -108,9 +108,9 @@ def random_monomial(dim, seed):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_sparse_and_dense_agree_on_random_programs(data):
-    # Random unitaries take the branching path; permutations with phases and
-    # x/swap with any number of controls (x, cnot, toffoli, swap, cswap, ...)
-    # take the monomial path.
+    # Random unitaries take the branching path, permutations with phases the
+    # monomial path, and x/swap with any number of controls (x, cnot,
+    # toffoli, swap, cswap, ...) the bit-column path.
     num_qubits = data.draw(st.integers(2, 4))
     dense = basis(num_qubits, data.draw(st.integers(0, (1 << num_qubits) - 1)))
     sparse = SparseState(num_qubits, {i: a for i, a in enumerate(dense) if a})
@@ -419,3 +419,42 @@ def test_no_gate_kind_reaches_tensordot(monkeypatch):
     circuit_unitary(circ)
     with pytest.raises(RuntimeError, match="tensordot"):  # an explicit 4x4 matrix still does
         apply_gate(basis(2, 0), random_unitary(4, 3), (0, 1))
+
+
+# -- the exact X / SWAP column path -------------------------------------------
+
+
+def random_sparse(num_qubits, seed, rows):
+    rng = np.random.default_rng(seed)
+    indices = rng.choice(1 << num_qubits, size=rows, replace=False).tolist()
+    return SparseState(num_qubits, {i: complex(*rng.normal(size=2)) for i in indices})
+
+
+@pytest.mark.parametrize("gate,targets", [(X, (3,)), (SWAP, (1, 4))])
+@pytest.mark.parametrize("controls", [(), (0,), (2, 0)])
+def test_exact_x_and_swap_move_bits_and_keep_amplitudes(monkeypatch, gate, targets, controls):
+    def refuse(rows):
+        raise AssertionError("an exact X or SWAP reached the monomial path")
+
+    monkeypatch.setattr(statevec, "_monomial", refuse)
+    s = random_sparse(5, 7 + len(controls), 20)
+    before = s.to_dense()
+    out = s.apply_gate(gate, targets, controls)
+    assert np.array_equal(out.to_dense(), apply_gate(before, gate, targets, controls))
+    # the amplitude values are the input's bit for bit, only their indices move
+    assert np.array_equal(np.sort_complex(np.array(list(out.amplitudes.values()))),
+                          np.sort_complex(before[before != 0]))
+    assert np.array_equal(s.to_dense(), before)
+
+
+def test_a_near_x_matrix_takes_the_general_path(monkeypatch):
+    calls = []
+    monomial = statevec._monomial
+    monkeypatch.setattr(statevec, "_monomial", lambda rows: calls.append(rows) or monomial(rows))
+    near_x = np.array([[0, 1 - 2**-52], [1, 0]], dtype=complex)
+    s = random_sparse(4, 3, 12)
+    before = s.to_dense()
+    out = s.apply_gate(near_x, (2,), (1,))
+    assert len(calls) == 1
+    assert np.max(np.abs(out.to_dense() - apply_gate(before, near_x, (2,), (1,)))) <= 1e-15
+    assert np.array_equal(s.to_dense(), before)

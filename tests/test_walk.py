@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -586,6 +587,29 @@ def test_initial_state_layout_and_normalization():
     assert vec[4] == pytest.approx(1 / np.sqrt(2))
     assert vec[5] == pytest.approx(1j / np.sqrt(2))
     assert np.linalg.norm(vec) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("coin,want", [
+    ([1.3407807929942597e+154, 0], [1, 0]),
+    ([1e200, 1.0], [1, 1e-200]),
+    ([[1e308, 1e308], 1e308], [(1 + 1j) / 3 ** 0.5, 1 / 3 ** 0.5]),
+])
+def test_initial_state_normalizes_a_huge_coin_amplitude_without_a_warning(coin, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = WalkConfig(2, 0, identity_field(2), initial={"position": 1, "coin": coin})
+        vec = initial_state(config)
+    assert np.allclose(vec[2:4], want, rtol=1e-15, atol=0)
+    assert np.linalg.norm(vec) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("coin", [[1.3407807929942597e+154], [0, 0], [float("nan"), 1],
+                                  [float("inf"), 0], [1, 0, 0], []])
+def test_initial_state_refuses_a_bad_coin_without_a_warning(coin):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="two entries of finite, nonzero norm"):
+            WalkConfig(2, 0, identity_field(2), initial={"coin": coin})
 
 
 def test_initial_state_defaults_to_origin_coin_zero():
