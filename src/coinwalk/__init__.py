@@ -37,7 +37,7 @@ from .linear import (
     coin_blocks,
     predicted_depth,
 )
-from .naive import build_naive, tower
+from .naive import build_naive
 from .qasm import from_qasm, to_qasm
 from .shift import (
     build_shift_id,
@@ -129,7 +129,6 @@ __all__ = [
     "to_qasm",
     "ToolkitError",
     "total_coin_matrix",
-    "tower",
     "truncate",
     "truncation_error_bound",
     "tvd",

@@ -399,31 +399,41 @@ def _gate_text(g: GateInstance) -> str:
     return ",\n".join(fields) + "\n  }"
 
 
-def _gate_from_dict(d) -> GateInstance:
-    """One gate record.  Fields of their exact JSON types go to the
-    constructor as they are; any other field takes the :func:`checked`
-    path, which converts an integer angle or raises that field's message."""
-    if type(d) is not dict:
-        d = checked(d, dict, "a gate")
+def _exact_fields(d: dict) -> tuple | None:
+    """A record's ``(kind, controls, targets, angle, label)`` when each has its
+    exact JSON type (strings, lists of plain ints, a finite float), else None."""
     kind, controls, targets = d.get("kind"), d.get("controls", []), d.get("targets", [])
-    angle, matrix, label = d.get("angle"), d.get("matrix"), d.get("label")
-    if matrix is not None:
-        pairs = float_array(matrix, "a gate matrix")
-        if pairs.ndim != 3 or pairs.shape[2] != 2:
-            raise ValueError("a gate matrix must be rows of [re, im] pairs")
-        matrix = pairs.view(complex)[..., 0]
-    if not (
+    angle, label = d.get("angle"), d.get("label")
+    if (
         type(kind) is str and type(controls) is list and type(targets) is list
         and _EXACT_INT.issuperset(map(type, controls)) and _EXACT_INT.issuperset(map(type, targets))
         and (angle is None or type(angle) is float and math.isfinite(angle))
         and (label is None or type(label) is str)
     ):
-        kind = checked(kind, str, "a gate kind")
-        controls = _wires_from_list(controls, "controls")
-        targets = _wires_from_list(targets, "targets")
-        angle = None if angle is None else checked(angle, float, "a gate angle")
-        label = None if label is None else checked(label, str, "a gate label")
-    return GateInstance(kind, tuple(controls), tuple(targets), angle, matrix, label)
+        return kind, tuple(controls), tuple(targets), angle, label
+    return None
+
+
+def _gate_from_dict(d, fields: tuple | None = None) -> GateInstance:
+    """One gate record.  Its :func:`_exact_fields` (given or found) go to the
+    constructor as they are; otherwise each field takes the :func:`checked`
+    path, which converts an integer angle or raises that field's message."""
+    if type(d) is not dict:
+        d = checked(d, dict, "a gate")
+    matrix = d.get("matrix")
+    if matrix is not None:
+        pairs = float_array(matrix, "a gate matrix")
+        if pairs.ndim != 3 or pairs.shape[2] != 2:
+            raise ValueError("a gate matrix must be rows of [re, im] pairs")
+        matrix = pairs.view(complex)[..., 0]
+    kind, controls, targets, angle, label = fields or _exact_fields(d) or (
+        checked(d.get("kind"), str, "a gate kind"),
+        _wires_from_list(d.get("controls", []), "controls"),
+        _wires_from_list(d.get("targets", []), "targets"),
+        None if d.get("angle") is None else checked(d["angle"], float, "a gate angle"),
+        None if d.get("label") is None else checked(d["label"], str, "a gate label"),
+    )
+    return GateInstance(kind, controls, targets, angle, matrix, label)
 
 
 def _wires_from_list(wires, what: str) -> tuple[int, ...]:
@@ -467,19 +477,21 @@ def _jsonable_metadata(meta: dict) -> dict:
 def _gates_from_list(records) -> tuple[GateInstance, ...]:
     """Each gate record read once: identical records share one gate.
 
-    A record is keyed by its ``repr``, which tells ``1``, ``1.0``, ``True``,
-    ``"1"`` and ``-0.0`` from ``0.0`` apart; only a record read without error
-    is kept, so the first bad record raises as it would alone.  A record
-    with a matrix is read on its own.
+    A record is keyed by its :func:`_exact_fields` and its angle's sign
+    (``0.0 == -0.0``), or else by its ``repr``, which tells ``1``, ``1.0``,
+    ``True`` and ``"1"`` apart; only a record read without error is kept, so
+    the first bad record raises as it would alone.  A record with a matrix
+    is read on its own.
     """
-    read: dict[str, GateInstance] = {}
+    read: dict = {}
     gates = []
     for d in checked(records, list, "gates"):
         if type(d) is dict and d.get("matrix") is None:
-            key = repr(d)
+            fields = _exact_fields(d)
+            key = repr(d) if fields is None else (*fields, fields[3] is not None and math.copysign(1.0, fields[3]))
             g = read.get(key)
             if g is None:
-                g = read[key] = _gate_from_dict(d)
+                g = read[key] = _gate_from_dict(d, fields)
         else:
             g = _gate_from_dict(d)
         gates.append(g)

@@ -80,15 +80,17 @@ def _predictions(circ: cir.Circuit) -> dict:
 def _cmd_analyze(args) -> int:
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circ = cir.circuit_from_json(fh.read())
+    counts, depth = cir.gate_counts(circ), cir.depth(circ)
     report = {
         "n": circ.registers.n,
         "layout": circ.registers.layout,
         "builder": circ.metadata.get("builder"),
         "num_wires": circ.num_wires,
         "gates": len(circ.gates),
-        "gate_counts": cir.gate_counts(circ),
-        "depth": cir.depth(circ),
-        "depth_expanded": cir.depth(transpile.expand_swaps(circ)),
+        "gate_counts": counts,
+        "depth": depth,
+        # with no swap to expand, the expanded circuit is the circuit itself
+        "depth_expanded": cir.depth(transpile.expand_swaps(circ)) if {"swap", "cswap"} & counts.keys() else depth,
         **_predictions(circ),
     }
     if args.compile:

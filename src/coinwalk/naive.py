@@ -4,7 +4,9 @@ One multiply-controlled coin gate per node, preceded by an X "tower" that
 rotates the control pattern from the previous node's index to the current
 one.  Tower i flips position wires 0..t, t = trailing zeros of i (i >= 1);
 tower 0 flips every position wire.  Gate count is exponential in n by
-construction.
+construction, but a build makes only n + 2^n gate objects: one X per
+position wire, shared by every tower that flips it, and one coin gate per
+node.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .errors import ToolkitError, check_n
 from .circuit import Circuit, GateInstance, RegisterMap
 from .coins import CoinField
 
-__all__ = ["build_naive", "tower", "tower_flips"]
+__all__ = ["build_naive", "tower_flips"]
 
 
 def tower_flips(n: int, i: int) -> list[int]:
@@ -28,37 +30,26 @@ def tower_flips(n: int, i: int) -> list[int]:
     return list(range(t + 1))
 
 
-def tower(n: int, i: int) -> list[GateInstance]:
-    """X gates of tower i, on walk-layout position wires (coin untouched)."""
-    flips = tower_flips(n, i)
-    regs = RegisterMap.walk(n)
-    return [GateInstance("x", (), (regs.position(p),)) for p in flips]
-
-
 def build_naive(field: CoinField) -> Circuit:
     """Circuit for the block-diagonal total coin, one controlled gate per node.
 
     Walking k = 0..2^n-1, the tower before node k maps the all-ones control
     pattern onto the bits of k, so every coin gate controls on all position
     wires.  The X count per wire over the whole loop is even, so the
-    position register ends exactly where it started.
+    position register ends exactly where it started.  Each position wire's
+    X is one immutable gate, shared by every tower.
     """
     n = field.n
     regs = RegisterMap.walk(n)
     pos = tuple(regs.position(p) for p in range(n))
-    coin = regs.coin()
+    coin = (regs.coin(),)
+    flip = [GateInstance("x", (), (w,)) for w in pos]
+    kind = "cu2" if n == 1 else "mcu2"
     half = 1 << (n - 1)
     gates: list[GateInstance] = []
     for k in range(1 << n):
-        gates.extend(tower(n, k % half))
-        kind = "cu2" if n == 1 else "mcu2"
+        gates.extend(map(flip.__getitem__, tower_flips(n, k % half)))
         gates.append(
-            GateInstance(
-                kind,
-                pos,
-                (coin,),
-                matrix=np.ascontiguousarray(field.coin(k)),
-                label=f"coin{k}",
-            )
+            GateInstance(kind, pos, coin, matrix=np.ascontiguousarray(field.coin(k)), label=f"coin{k}")
         )
     return Circuit(regs, tuple(gates), {"builder": "naive", "n": n})

@@ -23,6 +23,7 @@ simulation independent of the bit-column reading (``linear.coin_blocks``).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 
 import numpy as np
@@ -92,8 +93,17 @@ def is_unitary(m: np.ndarray, atol: float = ATOL_UNITARY):
     bool for one ``(d, d)`` matrix, a boolean array over the leading axes of a
     ``(..., d, d)`` stack, and False for anything not square.  A huge finite
     entry overflows the product to inf or NaN, which fails the comparison
-    without a warning."""
+    without a warning.  One ``(2, 2)`` matrix, every gate's check, takes
+    Python floats: the column norms and the columns' inner product, where an
+    overflow reads inf and a NaN fails the comparison, with no warning."""
     m = np.asarray(m, dtype=complex)
+    if m.shape == (2, 2):
+        (a, b), (c, d) = m.tolist()
+        norm0 = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+        norm1 = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+        re = a.real * b.real + a.imag * b.imag + c.real * d.real + c.imag * d.imag
+        im = a.real * b.imag - a.imag * b.real + c.real * d.imag - c.imag * d.real
+        return abs(norm0 - 1.0) <= atol and abs(norm1 - 1.0) <= atol and math.hypot(re, im) <= atol
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         return False
     with np.errstate(over="ignore", invalid="ignore"):

@@ -76,7 +76,8 @@ class WalshSeries:
 
     def terms(self) -> list[tuple[int, float]]:
         """(j, a_j) pairs with a_j != 0, ascending j."""
-        return [(j, float(a)) for j, a in enumerate(self.coefficients) if a != 0.0]
+        js = np.flatnonzero(self.coefficients)
+        return list(zip(js.tolist(), self.coefficients[js].tolist()))
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
@@ -207,55 +208,35 @@ def _product_specs(wires: _Wires, sigma: str, terms) -> list[tuple]:
     return [spec for j, a in terms for spec in _term_specs(wires, sigma, j, a)]
 
 
-def _cancel_common_target_runs(specs: list[tuple]) -> list[tuple]:
-    """Reduce runs of consecutive CNOTs sharing a target by control parity.
-
-    One stack pass: the CNOT runs since the last other gate are kept as
-    (target, set of controls of odd parity); a CNOT on the top run's target
-    toggles its control in that set, and a run that empties is popped, so the
-    run below it takes the following CNOTs again.  Each run is emitted with
-    its controls sorted.  This is the fixed point of reducing every maximal
-    same-target run by parity until nothing cancels.
-    """
-    out: list[tuple] = []
-    runs: list[tuple[tuple, set]] = []
-
-    def flush() -> None:
-        for target, controls in runs:
-            out.extend(("cnot", c, target, None) for c in sorted(controls))
-        runs.clear()
-
-    for spec in specs:
-        if spec[0] != "cnot":
-            flush()
-            out.append(spec)
-        elif runs and runs[-1][0] == spec[2]:
-            controls = runs[-1][1]
-            controls ^= {spec[1]}
-            if not controls:
-                runs.pop()
-        else:
-            runs.append((spec[2], {spec[1]}))
-    flush()
-    return out
-
-
 def _gray_specs(wires: _Wires, sigma: str, ordered_terms) -> list[tuple]:
     """Merged emission of the given terms, consecutive parity sets shared.
 
     For sigma != I every term folds its whole parity set onto the coin wire
     (the entanglers commute pairwise), so adjacent terms only pay for the
-    symmetric difference of their index supports.  For sigma = I the
-    per-term ladders are emitted and then reduced by the common-target
-    cancellation pass.
+    symmetric difference of their index supports.  For sigma = I term j
+    folds the rest of its support onto its lowest wire, its head, which
+    takes the rz.  From j to the next term j', a shared head takes CNOTs
+    from the wires of j ^ j' (the head bit cancels); otherwise j's ladder
+    closes and j''s opens.  That is the product form with every run of CNOTs
+    on one target reduced by control parity until nothing cancels.
     """
-    if sigma == "i":
-        return _cancel_common_target_runs(_product_specs(wires, sigma, ordered_terms))
-    coin = wires.coin
-    rot_kind = _ROT_FOR[sigma]
-    ent_kind = "cz" if sigma == "x" else "cnot"
     specs: list[tuple] = []
-    current = 0
+    current = 0  # the term emitted last, whose ladder is open; 0 for none
+    if sigma == "i":
+        for j, a in ordered_terms + [(0, None)]:
+            if not j and a is not None:
+                continue  # the scalar phase term, tracked in circuit metadata
+            if j & -j == current & -current:
+                ladders = [(current ^ j, j)]
+            else:
+                ladders = [(current & (current - 1), current), (j & (j - 1), j)]
+            for controls, term in ladders:  # no controls, no head to read
+                specs.extend(("cnot", c, wires[term][0], None) for c in wires[controls])
+            if a is not None:
+                specs.append(("rz", (), wires[j][0], -2.0 * a))
+            current = j
+        return specs
+    coin, rot_kind, ent_kind = wires.coin, _ROT_FOR[sigma], "cz" if sigma == "x" else "cnot"
     for j, a in ordered_terms + [(0, None)]:
         specs.extend((ent_kind, control, coin, None) for control in wires[current ^ j])
         if a is not None:
@@ -264,13 +245,13 @@ def _gray_specs(wires: _Wires, sigma: str, ordered_terms) -> list[tuple]:
     return specs
 
 
-def _gray_rank(j: int) -> int:
-    """Position of j in the reflected Gray sequence (inverse Gray code)."""
-    r = 0
-    while j:
-        r ^= j
-        j >>= 1
-    return r
+def _gray_terms(series: WalshSeries) -> list[tuple[int, float]]:
+    """:meth:`WalshSeries.terms` in reflected Gray order: the codes
+    ``i ^ (i >> 1)``, i = 0, 1, ..., that index a nonzero coefficient."""
+    js = np.arange(1 << series.n)
+    js ^= js >> 1
+    js = js[series.coefficients[js] != 0.0]
+    return list(zip(js.tolist(), series.coefficients[js].tolist()))
 
 
 def _product_entanglers(sigma: str, terms) -> int:
@@ -279,28 +260,30 @@ def _product_entanglers(sigma: str, terms) -> int:
     return sum(2 * (j.bit_count() - drop) for j, _ in terms if j)
 
 
-def _gray_entanglers(ordered_terms) -> int:
-    """Gray-form entanglers for sigma != I: |S_t ^ S_t+1| per step, from and to {}."""
-    supports = [0] + [j for j, _ in ordered_terms] + [0]
-    return sum((s ^ t).bit_count() for s, t in zip(supports, supports[1:]))
+def _gray_entanglers(sigma: str, ordered_terms) -> int:
+    """Gray-form entanglers, per step from and to {} (:func:`_gray_specs`):
+    |S_t ^ S_t+1|, but for sigma = I between terms of different heads the
+    closing and opening ladders, one CNOT per support wire but the head."""
+    supports = [0] + [j for j, _ in ordered_terms if j] + [0]
+    return sum(
+        (s ^ t).bit_count() if sigma != "i" or s & -s == t & -t
+        else (s & (s - 1)).bit_count() + (t & (t - 1)).bit_count()
+        for s, t in zip(supports, supports[1:])
+    )
 
 
-def _choose_form(wires: _Wires, sigma: str, terms, optimize: bool = True):
-    """(specs, term order, optimized) of the form to emit.
+def _choose_form(wires: _Wires, sigma: str, series: WalshSeries, optimize: bool = True):
+    """(specs, term order, optimized) of the form to emit for ``series``.
 
     With ``optimize`` the Gray form is taken when it has strictly fewer
-    entangling gates (for sigma = I, counted on its cancelled ladders);
-    otherwise, and on a tie, the product form.
+    entangling gates, counted from the term supports before any gate is
+    written; otherwise, and on a tie, the product form.
     """
+    terms = series.terms()
     if optimize:
-        ordered = sorted(terms, key=lambda t: _gray_rank(t[0]))
-        if sigma == "i":
-            gray = _gray_specs(wires, sigma, ordered)
-            gray_count = sum(1 for spec in gray if spec[0] == "cnot")
-        else:
-            gray, gray_count = None, _gray_entanglers(ordered)
-        if gray_count < _product_entanglers(sigma, terms):
-            return gray if gray is not None else _gray_specs(wires, sigma, ordered), ordered, True
+        ordered = _gray_terms(series)
+        if _gray_entanglers(sigma, ordered) < _product_entanglers(sigma, terms):
+            return _gray_specs(wires, sigma, ordered), ordered, True
     return _product_specs(wires, sigma, terms), terms, False
 
 
@@ -335,9 +318,8 @@ def build_walsh(series: WalshSeries, sigma: str, optimize: bool = True) -> Circu
     """
     sigma = _sigma_key(sigma)
     regs = RegisterMap.walk(series.n)
-    terms = series.terms()
+    specs, terms, optimized = _choose_form(_Wires(regs), sigma, series, optimize)
     phase = _phase_of(sigma, terms)
-    specs, terms, optimized = _choose_form(_Wires(regs), sigma, terms, optimize)
     meta = {
         "builder": "walsh",
         "n": series.n,
@@ -351,8 +333,8 @@ def gray_code_optimize(circuit: Circuit) -> Circuit:
     """The Gray form of a product-form Walsh circuit, when it has fewer entanglers.
 
     The input must be the fragment-per-term form that ``build_walsh(...,
-    optimize=False)`` produces, with its ``"walsh"`` metadata
-    (``"not-walsh-form"`` otherwise).  The form is chosen as in
+    optimize=False)`` produces, with its ``"walsh"`` metadata and terms as
+    a series gives them (``"not-walsh-form"`` otherwise).  The form is chosen as in
     :func:`build_walsh`; without a strict gain the input circuit itself is
     returned.
     """
@@ -362,11 +344,13 @@ def gray_code_optimize(circuit: Circuit) -> Circuit:
     sigma = _sigma_key(info["sigma"])
     terms = [(int(j), float(a)) for j, a in info["terms"]]
     regs = circuit.registers
+    by_index = dict(terms)
+    series = WalshSeries(regs.n, [by_index.get(j, 0.0) for j in range(1 << regs.n)])
     wires = _Wires(regs)
     given = [(g.kind, g.controls, g.targets, g.angle) for g in circuit.gates]
-    if given != _product_specs(wires, sigma, terms):
+    if series.terms() != terms or given != _product_specs(wires, sigma, terms):
         raise ToolkitError("not-walsh-form", "gate list is not the builder's product form")
-    specs, ordered, optimized = _choose_form(wires, sigma, terms)
+    specs, ordered, optimized = _choose_form(wires, sigma, series)
     if not optimized:
         return circuit
     meta = dict(circuit.metadata)
@@ -396,7 +380,7 @@ def build_walsh_coin(field: CoinField, m: int | None = None, optimize: bool = Tr
     wires = _Wires(regs)
     specs: list[tuple] = []
     for idx, sigma in [(3, "z"), (2, "y"), (1, "z"), (0, "i")]:
-        specs += _choose_form(wires, sigma, series[idx].terms(), optimize)[0]
+        specs += _choose_form(wires, sigma, series[idx], optimize)[0]
     meta = {
         "builder": "walsh-coin",
         "n": field.n,

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from coinwalk import (
+    GateInstance,
     ToolkitError,
     build_naive,
     circuit_unitary,
     random_field,
     total_coin_matrix,
-    tower,
 )
 from coinwalk.naive import tower_flips
 from oracles import identity_field
@@ -23,17 +23,38 @@ def test_tower_flip_patterns():
 
 
 def test_tower_gates_target_position_wires():
-    gates = tower(3, 2)
-    assert [g.kind for g in gates] == ["x", "x"]
-    assert [g.targets for g in gates] == [(1,), (2,)]
+    # the built circuit's tower before node 2 is tower 2: X on position wires 0 and 1
+    gates = build_naive(random_field(3, seed=2)).gates
+    coins = [i for i, g in enumerate(gates) if g.kind == "mcu2"]
+    tower_2 = gates[coins[1] + 1 : coins[2]]
+    assert [g.kind for g in tower_2] == ["x", "x"]
+    assert [g.targets for g in tower_2] == [(1,), (2,)]
 
 
 @pytest.mark.parametrize("n,i", [(0, 0), (3, 4), (3, -1), (1, 1)])
 def test_tower_index_validation(n, i):
     # n under 1 breaks errors.check_n's rule; an index outside the towers has its own code
     with pytest.raises(ValueError if n < 1 else ToolkitError) as err:
-        tower(n, i)
+        tower_flips(n, i)
     assert n < 1 or err.value.code == "index-out-of-range"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_naive_build_constructs_one_x_per_wire_and_one_gate_per_coin(n, monkeypatch):
+    # every tower shares the n X objects; each node's coin gate is its own
+    built = []
+    init = GateInstance.__init__
+
+    def counting(self, kind, *args, **kwargs):
+        built.append(kind)
+        init(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(GateInstance, "__init__", counting)
+    circuit = build_naive(random_field(n, seed=n))
+    coin_kind = "cu2" if n == 1 else "mcu2"
+    assert sorted(built) == sorted(["x"] * n + [coin_kind] * (1 << n))
+    assert len({id(g) for g in circuit.gates}) == n + (1 << n)
+    assert len(circuit.gates) > len(built)
 
 
 def test_tower_walk_visits_every_node():

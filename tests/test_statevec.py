@@ -276,6 +276,37 @@ def test_is_unitary_refuses_a_huge_entry_without_a_warning():
         assert is_unitary(stack).tolist() == [True, False, False]
 
 
+def two_by_two_cases():
+    """2x2 matrices for the scalar path: unitaries, entries 1% either side of
+    the tolerance (on a column norm and on the columns' inner product, whose
+    size ``math.hypot`` takes), and entries NaN, +-inf and 1e200."""
+    atol = statevec.ATOL_UNITARY
+    cases = [random_unitary(2, seed) for seed in range(50)]
+    for side in (0.99, 1.01):
+        u = random_unitary(2, 7)
+        cases.append(u * np.array([np.sqrt(1 + side * atol), 1.0]))
+        cases.append(u * np.array([1.0, np.sqrt(1 - side * atol)]))
+        cases.append(np.array([[1, side * atol * np.exp(0.7j)], [0, 1]]))
+    for bad in (np.nan, np.inf, -np.inf, 1e200, 1e200j):
+        for i in range(4):
+            m = random_unitary(2, i).reshape(4)
+            m[i] = bad
+            cases.append(m.reshape(2, 2))
+    return cases
+
+
+def test_the_scalar_2x2_check_agrees_with_the_stack_check():
+    cases = two_by_two_cases()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [is_unitary(m) for m in cases]
+        assert got == [bool(is_unitary(m[None])[0]) for m in cases]
+    assert all(type(ok) is bool for ok in got)
+    assert got[:50] == [True] * 50
+    assert got[50:56] == [True, True, True, False, False, False]
+    assert not any(got[56:])
+
+
 # -- the dense kernel's paths -------------------------------------------------
 
 def fewest_controls(kind):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from coinwalk import walsh
 from coinwalk import (
+    Circuit,
     GateInstance,
     RegisterMap,
     ToolkitError,
@@ -272,6 +273,22 @@ def test_gray_pass_kept_only_on_strict_gain():
     assert tight.metadata["walsh"]["optimized"] is False
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [[(1, 0.5), (1, 0.25)], [(3, 0.5), (1, 0.25)], [(1, 0.5), (4, 0.25)], [(2, 0.0), (3, 0.5)]],
+    ids=["repeated", "descending", "out-of-range", "zero"],
+)
+def test_gray_code_optimize_refuses_terms_no_series_gives(terms):
+    # The Gray order is read off a coefficient array, so the metadata's terms
+    # must be a series' own; the gates are the product form of those in range.
+    regs = RegisterMap.walk(2)
+    gates = walsh_product_gates(regs, "z", [t for t in terms if t[0] < 4])
+    circuit = Circuit(regs, gates, {"walsh": {"sigma": "z", "terms": terms, "optimized": False}})
+    with pytest.raises(ToolkitError) as err:
+        gray_code_optimize(circuit)
+    assert err.value.code == "not-walsh-form"
+
+
 def test_gray_order_follows_given_terms():
     # Entanglers between consecutive rotations toggle the support difference.
     regs = RegisterMap.walk(2)
@@ -314,12 +331,11 @@ def test_chooser_closed_forms_count_the_emitted_entanglers(sigma):
         for seed in range(3):
             regs = RegisterMap.walk(n)
             terms = sparse_series(n, 10 * n + seed).terms()
-            ordered = sorted(terms, key=lambda t: walsh._gray_rank(t[0]))
+            ordered = sorted(terms, key=lambda t: gray_rank(t[0]))
             product = walsh_product_gates(regs, sigma, terms)
             assert walsh._product_entanglers(sigma, terms) == entanglers(product)
-            if sigma != "i":
-                gray = walsh._gates(walsh._gray_specs(walsh._Wires(regs), sigma, ordered))
-                assert walsh._gray_entanglers(ordered) == entanglers(gray)
+            gray = walsh._gates(walsh._gray_specs(walsh._Wires(regs), sigma, ordered))
+            assert walsh._gray_entanglers(sigma, ordered) == entanglers(gray)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -376,30 +392,57 @@ def iterative_cancel(specs):
         specs = out
 
 
-_CNOTS = [("cnot", (c,), (t,), None) for c in (1, 2, 3, 4) for t in (1, 2, 3) if c != t]
-_OTHERS = [("rz", (), (1,), -0.5), ("rz", (), (2,), 0.25), ("x", (), (3,), None), ("cz", (1,), (0,), None)]
-_spec_lists = st.lists(st.sampled_from(_CNOTS * 2 + _OTHERS), max_size=30)
+def gray_rank(j):
+    """Position of j in the reflected Gray sequence (inverse Gray code)."""
+    r = 0
+    while j:
+        r ^= j
+        j >>= 1
+    return r
 
 
-@given(_spec_lists, _spec_lists, st.booleans())
+def assert_phase_emission_is_the_cancelled_product(series):
+    """The direct sigma = I Gray form is the Gray-ordered product form with
+    its CNOT runs cancelled to the fixed point."""
+    ordered = sorted(series.terms(), key=lambda t: gray_rank(t[0]))
+    wires = walsh._Wires(RegisterMap.walk(series.n))
+    direct = walsh._gray_specs(wires, "i", ordered)
+    assert direct == iterative_cancel(walsh._product_specs(wires, "i", ordered))
+    assert walsh._gray_entanglers("i", ordered) == sum(1 for spec in direct if spec[0] == "cnot")
+
+
+@st.composite
+def sparse_term_sets(draw):
+    """Series with a drawn set of nonzero terms, so Gray steps skip, heads
+    change and the phase term j = 0 comes and goes."""
+    n = draw(st.integers(1, 6))
+    js = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=1 << n))
+    coeffs = np.zeros(1 << n)
+    coeffs[sorted(js)] = draw(st.lists(st.floats(0.1, 2.0), min_size=len(js), max_size=len(js)))
+    return WalshSeries(n, coeffs)
+
+
+@given(sparse_term_sets())
 @settings(max_examples=300, deadline=None)
-def test_one_pass_cancel_equals_the_iterative_fixed_point(left, middle, mirror):
-    # A mirrored ladder cancels from the inside out: each run that vanishes
-    # lets the runs around it merge, unless a non-CNOT gate stands between.
-    specs = left + middle + (left[::-1] if mirror else left)
-    assert walsh._cancel_common_target_runs(specs) == iterative_cancel(specs)
+def test_direct_phase_emission_equals_the_iterative_fixed_point(series):
+    assert_phase_emission_is_the_cancelled_product(series)
 
 
-def test_one_pass_cancel_on_phase_series():
+def test_direct_phase_emission_on_phase_series():
     trap = dirac_field(10, 1.0, 0.5, 1.0, 50.0).euler_angles()
-    cases = [(n, sparse_series(n, 50 + n)) for n in range(1, 11)]
-    cases += [(n, WalshSeries(n, np.linspace(0.1, 1.0, 1 << n))) for n in range(1, 11)]
-    cases += [(10, walsh_coefficients(unwrap_angles(trap[:, i], 10))) for i in range(4)]
-    for n, series in cases:
-        regs = RegisterMap.walk(n)
-        ordered = sorted(series.terms(), key=lambda t: walsh._gray_rank(t[0]))
-        specs = walsh._product_specs(walsh._Wires(regs), "i", ordered)
-        assert walsh._cancel_common_target_runs(specs) == iterative_cancel(specs)
+    cases = [sparse_series(n, 50 + n) for n in range(1, 11)]
+    cases += [WalshSeries(n, np.linspace(0.1, 1.0, 1 << n)) for n in range(1, 11)]
+    cases += [walsh_coefficients(unwrap_angles(trap[:, i], 10)) for i in range(4)]
+    # j = 0, one head across skipped Gray codes (1 -> 7) and a change of head (7 -> 4)
+    cases += [WalshSeries(3, [0.5, 0.25, 0.0, 0.0, -0.75, 0.0, 0.0, 0.125])]
+    for series in cases:
+        assert_phase_emission_is_the_cancelled_product(series)
+
+
+@given(sparse_term_sets())
+@settings(max_examples=200, deadline=None)
+def test_gray_order_is_the_sort_by_inverse_gray_code(series):
+    assert walsh._gray_terms(series) == sorted(series.terms(), key=lambda t: gray_rank(t[0]))
 
 
 def test_coin_circuit_matches_field_matrix():
