@@ -175,20 +175,12 @@ def check_collapse_budget(n: int) -> None:
 
     The probe holds ``2^(n+1)`` rows, one per data input, each one byte per
     wire of the layout plus a 16-byte amplitude, and each gate of the sparse
-    kernel writes its output beside its input, a new bit matrix always and a
-    new amplitude vector unless the gate is an exact X or SWAP:
-    ``2 * 2^(n+1) * (wires + 16)`` bytes; ``"dense-limit-exceeded"`` over it.
+    kernel writes its output beside its input: a new bit matrix on either
+    path, and a new amplitude vector on the mixing path (an exact X or SWAP
+    shares it): ``2 * 2^(n+1) * (wires + 16)`` bytes; ``"dense-limit-exceeded"``
+    over it (:func:`statevec.check_bytes`).
     """
-    _check_bytes(2 * (2 << n) * (RegisterMap.linear(n).num_wires + 16), f"the probe of n={n}")
-
-
-def _check_bytes(size: int, what: str) -> None:
-    if size > statevec.MATRIX_BYTES_MAX:
-        raise ToolkitError(
-            "dense-limit-exceeded",
-            f"{what} needs {size / 2**30:g} GiB, over the "
-            f"{statevec.MATRIX_BYTES_MAX / 2**30:g} GiB matrix budget",
-        )
+    statevec.check_bytes(2 * (2 << n) * (RegisterMap.linear(n).num_wires + 16), f"the probe of n={n}")
 
 
 def _refused(index: int, gate: GateInstance, why: str) -> ToolkitError:
@@ -218,7 +210,7 @@ def coin_blocks(circuit: Circuit) -> tuple[np.ndarray, float]:
     fit :data:`statevec.MATRIX_BYTES_MAX`: ``2 * wires * 2^n`` bits.
     """
     regs = circuit.registers
-    _check_bytes((2 * regs.num_wires << regs.n) // 8, f"the bit columns of n={regs.n}")
+    statevec.check_bytes((2 * regs.num_wires << regs.n) // 8, f"the bit columns of n={regs.n}")
     nodes = np.arange(1 << regs.n)
     everywhere = (1 << nodes.size) - 1
     home = [0] * regs.num_wires  # the bits every wire must end with

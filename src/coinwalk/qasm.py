@@ -66,7 +66,8 @@ def to_qasm(circuit: Circuit) -> str:
             angle = f"({_fmt(g.angle)})" if GATE_KINDS[g.kind][2] == "angle" else ""
             line = line_of[g] = f"{_QASM_NAME[g.kind]}{angle} {wires};"
         lines.append(line)
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, with no second copy of the text
+    return "\n".join(lines)
 
 
 _GATE_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s+(.+);$")

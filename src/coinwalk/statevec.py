@@ -9,16 +9,19 @@ the gate's own :math:`2^m \\times 2^m` matrix.  Control wires condition on
 Dense objects are plain ``numpy`` complex arrays; the cap on dense work is
 ``2**DENSE_QUBITS_MAX`` amplitudes per axis, and a square matrix must also
 fit in :data:`MATRIX_BYTES_MAX`; :func:`check_dense_vector` and
-:func:`check_dense_matrix` hold them.  Every circuit gate kind updates strided
+:func:`check_dense_matrix` hold them, and :func:`check_bytes` is the one
+check against the byte budget.  Every circuit gate kind updates strided
 slices of a dense array in place, with no ``tensordot`` (see ``_apply_matrix_inplace``).
 
 A :class:`SparseState` keeps only its nonzero amplitudes, as arrays: one bit
 row per amplitude and a complex vector beside them, so it reaches any number
-of wires.  An exact X or SWAP (x, cnot, swap, cswap) XORs the bit columns it
-changes into a copy of the bit matrix and shares the amplitude vector.  The
-library runs it in one place: ``walk.coin_deviation`` sends a probe vector
-over a linear-ancilla circuit's data inputs through it, a check by
-simulation independent of the bit-column reading (``linear.coin_blocks``).
+of wires.  A gate takes one of two paths: an exact X or SWAP (x, cnot, swap,
+cswap) XORs the bit columns it changes into a copy of the bit matrix and
+shares the amplitude vector; any other matrix mixes the selected rows that
+differ only on its targets.  The library runs it in one place:
+``walk.coin_deviation`` sends a probe vector over a linear-ancilla circuit's
+data inputs through it, a check by simulation independent of the bit-column
+reading (``linear.coin_blocks``).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "SparseState",
     "apply_gate",
     "apply_circuit",
+    "check_bytes",
     "check_dense_matrix",
     "check_dense_vector",
     "check_document_n",
@@ -70,15 +74,19 @@ def check_dense_vector(num_qubits: int, what: str) -> None:
         raise ToolkitError("dense-limit-exceeded", f"{what} on {num_qubits} qubits is over the dense cap")
 
 
-def check_dense_matrix(num_qubits: int, what: str) -> None:
-    """Refuse, before allocating, a ``2^q``-square complex matrix over either cap."""
-    size = 16 << (2 * num_qubits)
-    if num_qubits > DENSE_QUBITS_MAX or size > MATRIX_BYTES_MAX:
+def check_bytes(size: int, what: str) -> None:
+    """Refuse, before allocating, ``size`` bytes over :data:`MATRIX_BYTES_MAX`."""
+    if size > MATRIX_BYTES_MAX:
         raise ToolkitError(
             "dense-limit-exceeded",
-            f"{what} on {num_qubits} qubits ({size / 2**30:g} GiB) is over the dense cap "
-            f"{DENSE_QUBITS_MAX} or the {MATRIX_BYTES_MAX / 2**30:g} GiB matrix budget",
+            f"{what} needs {size / 2**30:g} GiB, over the {MATRIX_BYTES_MAX / 2**30:g} GiB budget",
         )
+
+
+def check_dense_matrix(num_qubits: int, what: str) -> None:
+    """Refuse, before allocating, a ``2^q``-square complex matrix over either cap."""
+    check_dense_vector(num_qubits, what)
+    check_bytes(16 << (2 * num_qubits), f"{what} on {num_qubits} qubits")
 
 
 def check_document_n(n: int) -> int:
@@ -187,13 +195,9 @@ def _apply_matrix_inplace(arr, mat, targets, controls, num_qubits):
 
 
 def apply_gate(state, gate: np.ndarray, targets, controls=()):
-    """Apply ``gate`` to the given target wires of a state.
-
-    ``state`` may be a dense vector (1-D complex array) or a
-    :class:`SparseState`; a new state of the same kind is returned.
-    """
-    if isinstance(state, SparseState):
-        return state.apply_gate(gate, targets, controls)
+    """A copy of the dense vector ``state`` (a 1-D complex array) with
+    ``gate`` applied to the given target wires; a :class:`SparseState` has
+    its own :meth:`SparseState.apply_gate`."""
     vec = np.array(state, dtype=complex, copy=True)
     num_qubits = _num_qubits_of(vec.shape[0])
     mat = np.asarray(gate, dtype=complex)
@@ -262,22 +266,6 @@ def _row_keys(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
-def _monomial(rows: list) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(dest, factor)`` if every row and column of the matrix ``rows`` (a
-    nested list) has one nonzero entry.
-
-    Column ``j`` then goes to row ``dest[j]``, scaled by ``factor[j]``.
-    """
-    dest = {}
-    for i, row in enumerate(rows):
-        nonzero = [j for j, v in enumerate(row) if v != 0]
-        if len(nonzero) != 1 or nonzero[0] in dest:
-            return None
-        dest[nonzero[0]] = i
-    order = [dest[j] for j in range(len(rows))]
-    return np.array(order), np.array([rows[i][j] for j, i in enumerate(order)], dtype=complex)
-
-
 def _local_index(bits: np.ndarray, targets: tuple) -> np.ndarray:
     """Gate-local index of every bit row, ``targets[0]`` the top bit."""
     col = bits[:, targets[0]].astype(np.intp)
@@ -292,23 +280,20 @@ class SparseState:
     Row ``r`` of a bool matrix of shape ``(rows, num_qubits)`` holds the bits
     of one basis index, column ``w`` being wire ``w``; entry ``r`` of a
     complex vector is its amplitude.  Rows are distinct.  Each gate acts on
-    every row at once, and its matrix entries, compared exactly, choose the
-    path:
+    every row at once, and its matrix entries, compared exactly, choose one
+    of two paths:
 
     - exactly X on one target or SWAP on two, with any controls (x, cnot,
       swap, cswap): copy the bit matrix once and XOR the target columns of
       the selected rows; the new state shares this one's amplitude vector;
-    - any other monomial matrix (one nonzero entry in each row and each
-      column: cz, p, any unitary diagonal): a new bit matrix with the
-      selected rows' target bits moved, and each amplitude scaled;
-    - anything else: branch the selected rows over the output columns and
-      sum rows that land on the same index.
+    - anything else: group the selected rows that differ only on the
+      targets, multiply each group's amplitudes by the matrix, and keep the
+      outputs over :data:`PRUNE_TOL` in magnitude.
 
-    Amplitudes at or below :data:`PRUNE_TOL` in magnitude are dropped after
-    every gate, so memory tracks the support rather than the full Hilbert
-    space, and indices may exceed 64 bits.  A state never changes, and no
-    gate writes to an array of an existing state: :meth:`apply_gate`
-    returns the state after the gate.
+    Memory therefore tracks the support rather than the full Hilbert space,
+    and indices may exceed 64 bits.  A state never changes, and no gate
+    writes to an array of an existing state: :meth:`apply_gate` returns the
+    state after the gate.
     """
 
     __slots__ = ("num_qubits", "_bits", "_amps", "_view")
@@ -333,14 +318,8 @@ class SparseState:
         self._amps = amps
         self._view = _AmplitudeView(bits, amps)
 
-    def _with_rows(self, bits: np.ndarray, amps: np.ndarray) -> "SparseState":
-        keep = np.abs(amps) > PRUNE_TOL
-        if not keep.all():
-            bits, amps = bits[keep], amps[keep]
-        return self._with_bits(bits, amps)
-
     def _with_bits(self, bits: np.ndarray, amps: np.ndarray) -> "SparseState":
-        """A state over ``bits`` and ``amps`` as given, with no prune pass."""
+        """A state over ``bits`` and ``amps`` as given."""
         state = SparseState.__new__(SparseState)
         state.num_qubits = self.num_qubits
         state._set_rows(bits, amps)
@@ -381,19 +360,11 @@ class SparseState:
             for t in targets:
                 new_bits[:, t] ^= flip
             return self._with_bits(new_bits, amps)
-        move = _monomial(rows)
-        if move is not None:
-            dest, factor = move
-            col = _local_index(bits, targets)
-            new_col = np.where(on, dest[col], col)
-            new_bits = bits.copy()
-            for i, t in enumerate(reversed(targets)):
-                new_bits[:, t] = (new_col >> i) & 1
-            return self._with_rows(new_bits, np.where(on, amps * factor[col], amps))
-        # Branch: selected rows that differ only on the targets share a base
-        # row and mix; vals[u, j] is the amplitude of base u with its targets
-        # at j.  Only outputs over PRUNE_TOL are kept, and the unselected
-        # rows are the input's own, so the result needs no prune pass.
+        # Any other matrix: selected rows that differ only on the targets
+        # share a base row and mix; vals[u, j] is the amplitude of base u
+        # with its targets at j.  Only outputs over PRUNE_TOL are kept, and
+        # the unselected rows are the input's own, so the result needs no
+        # prune pass.
         sel = np.flatnonzero(on)
         base = bits[sel]
         col = _local_index(base, targets)

@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import functools
 import importlib
 import re
 import shutil
@@ -139,8 +140,8 @@ def test_every_export_is_read_somewhere():
 TEST_ONLY_EXPORTS = {
     "build_walsh": "the paper's one-series Walsh circuit; acceptance criteria 8 and 9 build it",
     "from_qasm": "the QASM reader, part of the library's input handling",
-    "derivative_sup_estimate": "the Walsh truncation bound; the scaling sweep of ROADMAP item 1 will call it",
-    "truncation_error_bound": "the Walsh truncation bound; the scaling sweep of ROADMAP item 1 will call it",
+    "derivative_sup_estimate": "the Walsh truncation bound; the scaling sweep of ROADMAP item 2 will call it",
+    "truncation_error_bound": "the Walsh truncation bound; the scaling sweep of ROADMAP item 2 will call it",
 }
 
 
@@ -188,6 +189,90 @@ def test_the_export_check_fails_a_copy_that_readds_an_unread_export(tmp_path, mo
     path = package / module
     path.write_text(path.read_text().replace("__all__ = [\n", f'__all__ = [\n    "{name}",\n', 1) + f"\n\n{source}")
     assert _unread_exports(package) == [f"{module}:{name}"]
+
+
+def _benchmark_pins() -> list[str]:
+    """Every attribute chain ``module.name[.attr ...]`` that a file under
+    ``perfbench/`` reads off a coinwalk module it imports by name, with each
+    of its prefixes."""
+    pins = set()
+    for path in sorted((PACKAGE.parents[1] / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "coinwalk"
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in modules:
+                pins.add(".".join([node.id, *reversed(chain)]))
+    return sorted(pins)
+
+
+def _bound_names(body: list) -> dict:
+    """Names a module or class body binds at its top level, each mapped to its
+    ``ClassDef`` (so a chain can look inside it) or to ``None``."""
+    names: dict = {}
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            names[node.name] = node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names[node.name] = None
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(dict.fromkeys((alias.asname or alias.name).split(".")[0] for alias in node.names))
+        elif isinstance(node, ast.Assign):
+            names.update(dict.fromkeys(t.id for t in node.targets if isinstance(t, ast.Name)))
+    return names
+
+
+def _missing_pins(package: Path) -> list[str]:
+    """The benchmark's pins that ``package``'s sources no longer define."""
+    missing = []
+    for pin in _benchmark_pins():
+        module, *chain = pin.split(".")
+        path = package / f"{module}.py"
+        scope = ast.parse(path.read_text(encoding="utf-8")) if path.exists() else None
+        for name in chain:
+            names = _bound_names(scope.body) if scope is not None else {}
+            if name not in names:
+                missing.append(pin)
+                break
+            scope = names[name]
+    return missing
+
+
+def test_every_name_the_benchmark_reads_is_defined():
+    # perfbench/ reads these off coinwalk's modules; without this check a
+    # removed one breaks only a traced benchmark run.
+    pins = _benchmark_pins()
+    assert {"statevec.SparseState.apply_gate", "transpile.gray_code_optimize", "walk.total_coin_matrix"} <= set(pins)
+    missing = _missing_pins(PACKAGE)
+    assert not missing, f"names perfbench/ reads that coinwalk no longer defines: {', '.join(missing)}"
+    for pin in pins:  # the static reading agrees with the imported modules
+        module, *chain = pin.split(".")
+        functools.reduce(getattr, chain, importlib.import_module(f"coinwalk.{module}"))
+
+
+@pytest.mark.parametrize(
+    "module,old,new,pin",
+    [("walk.py", ", total_coin_matrix  # noqa: F401", "", "walk.total_coin_matrix"),
+     ("transpile.py", "from .walsh import gray_code_optimize", "", "transpile.gray_code_optimize"),
+     ("statevec.py", "    def apply_gate(self,", "    def apply(self,", "statevec.SparseState.apply_gate")],
+)
+def test_the_pin_check_fails_a_copy_that_drops_a_name_the_benchmark_reads(tmp_path, module, old, new, pin):
+    package = tmp_path / "coinwalk"
+    shutil.copytree(PACKAGE, package)
+    assert _missing_pins(package) == []
+    path = package / module
+    source = path.read_text()
+    assert source.count(old) == 1
+    path.write_text(source.replace(old, new))
+    assert _missing_pins(package) == [pin]
 
 
 def test_every_error_code_is_in_the_readme_list():

@@ -108,9 +108,10 @@ def random_monomial(dim, seed):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_sparse_and_dense_agree_on_random_programs(data):
-    # Random unitaries take the branching path, permutations with phases the
-    # monomial path, and x/swap with any number of controls (x, cnot,
-    # toffoli, swap, cswap, ...) the bit-column path.
+    # x/swap with any number of controls (x, cnot, toffoli, swap, cswap, ...)
+    # take the bit-column path; random unitaries and permutations with
+    # phases take the mixing path, where a permutation's zero entries must
+    # leave no spurious rows.
     num_qubits = data.draw(st.integers(2, 4))
     dense = basis(num_qubits, data.draw(st.integers(0, (1 << num_qubits) - 1)))
     sparse = SparseState(num_qubits, {i: a for i, a in enumerate(dense) if a})
@@ -143,10 +144,10 @@ def test_sparse_state_over_64_wires_round_trips_its_indices():
     s = SparseState(70, want)
     assert len(s.amplitudes) == 2
     assert dict(s.amplitudes) == {(1 << 69) | 5: 0.6, 1 << 65: 0.8j}
-    # monomial: x on wire 67, cnot 69 -> 0, swap 65 <-> 66
+    # bit moves: x on wire 67, cnot 69 -> 0, swap 65 <-> 66
     s = s.apply_gate(X, (67,)).apply_gate(X, (0,), (69,)).apply_gate(SWAP, (65, 66))
     assert dict(s.amplitudes) == {(1 << 69) | (1 << 67) | 4: 0.6, (1 << 67) | (1 << 66): 0.8j}
-    # branching: H on wire 68 twice merges back onto the same two indices
+    # mixing: H on wire 68 twice merges back onto the same two indices
     s = s.apply_gate(H, (68,))
     assert len(s.amplitudes) == 4
     s = s.apply_gate(H, (68,))
@@ -190,7 +191,7 @@ def test_sparse_prunes_vanished_amplitudes():
     assert len(s.amplitudes) == 1
     assert s.amplitude(0) == pytest.approx(1.0)
     assert s.amplitude(1) == 0
-    # a monomial gate that scales an amplitude under the tolerance drops it
+    # a diagonal gate that scales an amplitude under the tolerance drops it
     tiny = np.diag([1e-15, 1]).astype(complex)
     assert len(SparseState.from_basis(1, 0).apply_gate(tiny, (0,)).amplitudes) == 0
 
@@ -464,10 +465,10 @@ def random_sparse(num_qubits, seed, rows):
 @pytest.mark.parametrize("gate,targets", [(X, (3,)), (SWAP, (1, 4))])
 @pytest.mark.parametrize("controls", [(), (0,), (2, 0)])
 def test_exact_x_and_swap_move_bits_and_keep_amplitudes(monkeypatch, gate, targets, controls):
-    def refuse(rows):
-        raise AssertionError("an exact X or SWAP reached the monomial path")
+    def refuse(bits, targets):
+        raise AssertionError("an exact X or SWAP reached the mixing path")
 
-    monkeypatch.setattr(statevec, "_monomial", refuse)
+    monkeypatch.setattr(statevec, "_local_index", refuse)
     s = random_sparse(5, 7 + len(controls), 20)
     before = s.to_dense()
     out = s.apply_gate(gate, targets, controls)
@@ -480,8 +481,9 @@ def test_exact_x_and_swap_move_bits_and_keep_amplitudes(monkeypatch, gate, targe
 
 def test_a_near_x_matrix_takes_the_general_path(monkeypatch):
     calls = []
-    monomial = statevec._monomial
-    monkeypatch.setattr(statevec, "_monomial", lambda rows: calls.append(rows) or monomial(rows))
+    local_index = statevec._local_index
+    monkeypatch.setattr(statevec, "_local_index",
+                        lambda bits, targets: calls.append(targets) or local_index(bits, targets))
     near_x = np.array([[0, 1 - 2**-52], [1, 0]], dtype=complex)
     s = random_sparse(4, 3, 12)
     before = s.to_dense()

@@ -231,6 +231,31 @@ def test_parity_frames_refuse_a_mutated_coin_circuit(build, gate, why):
     assert err.value.code == "coin-not-block-diagonal"
 
 
+@pytest.mark.parametrize("construction", sorted(walk_module.CONSTRUCTIONS))
+def test_every_single_gate_deletion_fails_the_reading_and_the_probe(construction):
+    # Each coin circuit at n = 1..3, rebuilt once per gate with that gate
+    # deleted: the reading against the field (or its refusal) and the probe
+    # must each miss the field by more than the construction's tolerance.
+    tol = walk_module.CONSTRUCTIONS[construction]
+    blind = []
+    for n in (1, 2, 3):
+        field = random_field(n, seed=5)
+        circuit = walk_module.build_coin(construction, field)
+        gates = circuit.gates
+        for i, gate in enumerate(gates):
+            deleted = Circuit(circuit.registers, gates[:i] + gates[i + 1:], dict(circuit.metadata))
+            try:
+                got, _ = walk_module.collapse(deleted)
+                reading = float(np.max(np.abs(got - field.coins)))
+            except ToolkitError as err:
+                assert err.code == "coin-not-block-diagonal"
+                reading = np.inf
+            probe = walk_module.coin_deviation(deleted, field.coins)
+            if not (reading > tol and probe > tol):
+                blind.append(f"n={n} gate {i} ({gate.kind}): reading {reading:.3e}, probe {probe:.3e}")
+    assert not blind, f"deletions that pass a check: {'; '.join(blind)}"
+
+
 def test_parity_frames_refuse_a_coin_gate_under_a_parity_control():
     regs = RegisterMap.walk(2)
     ladder = GateInstance("cnot", (regs.position(0),), (regs.position(1),))
