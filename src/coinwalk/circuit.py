@@ -25,6 +25,13 @@ circuit reuses the objects of its shared networks, and
 :func:`circuit_from_json` gives identical gate records one shared object, so
 a document of tens of thousands of gates costs a pass over its few thousand
 distinct ones.  Every result is the same as a pass gate by gate.
+
+:func:`circuit_from_json` has two paths.  Text in :func:`circuit_to_json`'s
+own layout is cut on the separators that writer joins the gate list with;
+the header and each distinct record text are parsed alone, once.  Any other
+text, and any such text whose header or a record does not parse alone or
+does not read, is parsed whole with ``json.loads``, so each error is the one
+that path gives.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ToolkitError, check_n, checked, float_array
+from .errors import ToolkitError, check_n, checked, float_array, read_json
 from . import statevec
 
 __all__ = [
@@ -333,18 +340,22 @@ def depth(circuit: Circuit) -> int:
 
     Each distinct gate object's wires and weight are read once; the layering
     loop then takes one-wire and two-wire gates without building a tuple.
-    A wire's free layer only grows, so the depth is the largest of them.
+    A wire's free layer only grows, so the depth is the largest of them; the
+    free layers are kept for the wires up to the highest a gate uses, as an
+    untouched wire stays at 0 whatever the layout's width.
     """
     layering = {}
+    top = -1
     for g in dict.fromkeys(circuit.gates):
         wires, weight = g.wires, _BLOCK_WEIGHT.get(g.kind, 1)
+        top = max(top, *wires)
         if len(wires) == 1:
             layering[g] = (wires[0], None, weight)
         elif len(wires) == 2:
             layering[g] = (wires[0], wires[1], weight)
         else:
             layering[g] = (None, wires, weight)
-    free = [0] * circuit.num_wires
+    free = [0] * (top + 1)
     for a, b, weight in map(layering.__getitem__, circuit.gates):
         if b is None:
             free[a] += weight
@@ -377,8 +388,9 @@ def _json_scalar(value) -> str:
 
 
 def _gate_text(g: GateInstance) -> str:
-    """One gate record as ``json.dumps(..., indent=1)`` writes it in the gate list."""
-    fields = [f'  {{\n   "kind": {_json_scalar(g.kind)}']
+    """One gate record as ``json.dumps(..., indent=1)`` writes it in the gate
+    list, less the braces and line breaks the record separator supplies."""
+    fields = [f'   "kind": {_json_scalar(g.kind)}']
     if g.controls:
         fields.append('   "controls": [\n    ' + ",\n    ".join(map(str, g.controls)) + "\n   ]")
     if g.targets:
@@ -396,7 +408,7 @@ def _gate_text(g: GateInstance) -> str:
         fields.append('   "matrix": [\n' + ",\n".join(rows) + "\n   ]")
     if g.label is not None:
         fields.append(f'   "label": {_json_scalar(g.label)}')
-    return ",\n".join(fields) + "\n  }"
+    return ",\n".join(fields)
 
 
 def _exact_fields(d: dict) -> tuple | None:
@@ -440,6 +452,17 @@ def _wires_from_list(wires, what: str) -> tuple[int, ...]:
     return tuple(checked(w, int, f"a wire in {what}") for w in checked(wires, list, what))
 
 
+#: The writer's layout of a gate list, stated once for the writer and the
+#: reader: the text that opens the list and its first record, the text
+#: between two records and the text that closes the last record, the list and
+#: the document (:func:`_split_records`).  A header written with an empty
+#: list ends ``_NO_GATES``.
+_GATES_OPEN = '\n "gates": [\n  {\n'
+_RECORD_SEP = '\n  },\n  {\n'
+_GATES_CLOSE = '\n  }\n ]\n}'
+_NO_GATES = '\n "gates": []\n}'
+
+
 def circuit_to_json(circuit: Circuit) -> str:
     """The circuit document, the same text as ``json.dumps(..., indent=1)``.
 
@@ -458,8 +481,8 @@ def circuit_to_json(circuit: Circuit) -> str:
     if not circuit.gates:
         return header
     text_of = {g: _gate_text(g) for g in dict.fromkeys(circuit.gates)}
-    # the header ends '"gates": []\n}'; the records go between the brackets
-    return header[:-4] + "[\n" + ",\n".join(map(text_of.__getitem__, circuit.gates)) + "\n ]\n}"
+    return (header[:-len(_NO_GATES)] + _GATES_OPEN
+            + _RECORD_SEP.join(map(text_of.__getitem__, circuit.gates)) + _GATES_CLOSE)
 
 
 def _jsonable_metadata(meta: dict) -> dict:
@@ -498,16 +521,28 @@ def _gates_from_list(records) -> tuple[GateInstance, ...]:
     return tuple(gates)
 
 
-def circuit_from_json(text: str) -> Circuit:
-    """Read a circuit document; ``ValueError`` if it is malformed.
+def _split_records(text) -> tuple[str, list[str]] | None:
+    """The header, closed with an empty gate list, and the record texts of
+    text in :func:`circuit_to_json`'s layout; None for any other text.
 
-    Identical gate records are read once and share one :class:`GateInstance`,
-    as a compiled circuit's repeated gates do (:func:`_gates_from_list`).  A
-    record that breaks a gate rule (a repeated wire, a wrong arity, a matrix
-    that is not unitary, a wire outside the layout) is malformed too: its
-    ``ToolkitError`` is raised as a ``ValueError`` with the code in its text.
+    The text must be the header, ``_GATES_OPEN`` at its first occurrence,
+    the records joined by ``_RECORD_SEP``, and ``_GATES_CLOSE``.  A JSON
+    string holds no raw line break, so these cuts fall between tokens: when
+    the header and each record text, in braces, parse alone, the whole text
+    parses to that header with these records.  A cut inside a nested value
+    leaves some part with unbalanced brackets, which does not parse.
     """
-    payload = checked(json.loads(text), dict, "a circuit document")
+    if not isinstance(text, str):
+        return None
+    start, end = text.find(_GATES_OPEN), len(text) - len(_GATES_CLOSE)
+    if start < 0 or start + len(_GATES_OPEN) > end or not text.endswith(_GATES_CLOSE):
+        return None
+    return text[:start] + _NO_GATES, text[start + len(_GATES_OPEN):end].split(_RECORD_SEP)
+
+
+def _read_header(payload) -> tuple[RegisterMap, dict]:
+    """The registers and metadata of a parsed document; ``ValueError`` if malformed."""
+    payload = checked(payload, dict, "a circuit document")
     if payload.get("format") != "coinwalk-circuit/1":
         raise ValueError("not a coinwalk circuit document")
     n = statevec.check_document_n(checked(payload.get("n"), int, "n"))
@@ -518,6 +553,44 @@ def circuit_from_json(text: str) -> Circuit:
     if walsh is not None:
         terms = checked(checked(walsh, dict, "metadata.walsh").get("terms", []), list, "walsh terms")
         meta["walsh"] = dict(walsh, terms=[tuple(checked(t, list, "a walsh term")) for t in terms])
+    return registers, meta
+
+
+def _read_split(header: str, pieces: list[str]) -> Circuit:
+    """The circuit of :func:`_split_records`' parts: the header and each
+    distinct record text parsed alone, and one gate per record text, shared
+    wherever that text recurs (equal texts parse to equal records).  A record
+    is parsed two lists deep, as deep as it sits in the whole document, so
+    the decoder's nesting limit refuses here whatever it refuses there; a
+    text that parses to more than the one record there is a ``ValueError``."""
+    registers, meta = _read_header(read_json(header))
+    gate_of = dict.fromkeys(pieces)
+    for piece in gate_of:
+        (record,), = read_json("[[{" + piece + "}]]")
+        gate_of[piece] = _gate_from_dict(record)
+    return Circuit(registers, tuple(map(gate_of.__getitem__, pieces)), meta)
+
+
+def circuit_from_json(text: str) -> Circuit:
+    """Read a circuit document; ``ValueError`` if it is malformed.
+
+    Text in :func:`circuit_to_json`'s own layout is read record text by
+    record text (:func:`_read_split`).  Any other text, or one in that layout
+    that does not read so (a part that does not parse alone, or any error),
+    is parsed whole and its records read by :func:`_gates_from_list`, so every
+    error is the one that path raises.  A record that breaks a gate rule (a
+    repeated wire, a wrong arity, a matrix that is not unitary, a wire
+    outside the layout) is malformed too: its ``ToolkitError`` is raised as a
+    ``ValueError`` with the code in its text.
+    """
+    split = _split_records(text)
+    if split is not None:
+        try:
+            return _read_split(*split)
+        except (ValueError, ToolkitError):  # read again whole, for the error that path gives
+            pass
+    payload = read_json(text)
+    registers, meta = _read_header(payload)
     try:
         return Circuit(registers, _gates_from_list(payload.get("gates")), meta)
     except ToolkitError as exc:  # a record that breaks a gate rule

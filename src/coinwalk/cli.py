@@ -25,7 +25,7 @@ import numpy as np
 
 from . import circuit as cir
 from . import coins, linear, qasm, shift, statevec, transpile, walk
-from .errors import ToolkitError
+from .errors import ToolkitError, read_json
 
 __all__ = ["main"]
 
@@ -33,9 +33,9 @@ __all__ = ["main"]
 _SIZE_CODE = "dense-limit-exceeded"
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return read_json(fh.read())
 
 
 def _write(path: str, text: str) -> None:
@@ -95,10 +95,13 @@ def _cmd_analyze(args) -> int:
     }
     if args.compile:
         compiled = transpile.compile_circuit(circ)
+        # a circuit already in the basis (the Walsh coin) compiles to its own
+        # gate objects, whose counts and depth are those just reported
+        same = compiled.gates == circ.gates  # gates compare by identity
         report["compiled"] = {
             "gates": len(compiled.gates),
-            "gate_counts": cir.gate_counts(compiled),
-            "depth": cir.depth(compiled),
+            "gate_counts": counts if same else cir.gate_counts(compiled),
+            "depth": depth if same else cir.depth(compiled),
         }
     print(json.dumps(report, indent=1))
     return 0

@@ -8,12 +8,11 @@ least significant qubit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ToolkitError, checked, float_array
+from .errors import ToolkitError, checked, float_array, read_json
 from . import statevec
 
 __all__ = [
@@ -201,7 +200,7 @@ def coin_field_to_json(field: CoinField) -> str:
 
 def coin_field_from_json(source: str | dict) -> CoinField:
     """Load a field from the explicit or parametric JSON forms; ``ValueError`` if malformed."""
-    obj = checked(json.loads(source) if isinstance(source, str) else source, dict, "a coin field")
+    obj = checked(read_json(source) if isinstance(source, str) else source, dict, "a coin field")
     n = statevec.check_document_n(checked(obj.get("n"), int, "n"))
     kind = obj.get("kind")
     if kind is None:

@@ -5,16 +5,18 @@ string code (e.g. ``"dense-limit-exceeded"``) in addition to a human
 readable message.  A malformed input raises ``ValueError``: a JSON value of
 the wrong type (:func:`checked`; a number is a finite ``int`` or ``float``,
 never a ``bool`` or ``str``), lists that hold anything but such numbers
-(:func:`float_array`), or an ``n`` under 1 (:func:`check_n`).
+(:func:`float_array`), an ``n`` under 1 (:func:`check_n`), or JSON text
+that does not parse or nests too deeply for the decoder (:func:`read_json`).
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
-__all__ = ["ToolkitError", "check_n", "checked", "float_array"]
+__all__ = ["ToolkitError", "check_n", "checked", "float_array", "read_json"]
 
 
 class ToolkitError(Exception):
@@ -49,6 +51,15 @@ def float_array(data, what: str) -> np.ndarray:
     except (ValueError, OverflowError):  # ragged lists; an integer past the float range
         pass
     raise ValueError(f"{what} must be nested lists of finite numbers")
+
+
+def read_json(text: str):
+    """``json.loads(text)``; a document nested past the decoder's recursion
+    limit is a ``ValueError`` too, like any other text that does not parse."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply to read: {exc}") from None
 
 
 def check_n(n: int) -> int:

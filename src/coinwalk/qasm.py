@@ -74,13 +74,23 @@ _GATE_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?\s+(.+);$")
 
 
 def from_qasm(text: str) -> Circuit:
-    """Parse the emitter's output back into a circuit."""
+    """Parse the emitter's output back into a circuit.
+
+    Each distinct gate line (by its stripped text) is parsed and read once,
+    and its gate is shared wherever the line recurs, as in a compiled
+    circuit's shared networks.  The distinct lines are read in order of
+    first occurrence, so the first bad line is the one reported.
+    """
     reg_sizes: dict[str, int] = {}
-    gates: list[tuple] = []
+    parsed: dict[str, tuple] = {}  # each distinct gate line: name, angle, operands
+    gate_lines: list[str] = []
     phase = 0.0
     layout, n = None, None
     for raw in text.splitlines():
         line = raw.strip()
+        if line in parsed:
+            gate_lines.append(line)
+            continue
         if not line:
             continue
         if line.startswith("//"):
@@ -108,7 +118,8 @@ def from_qasm(text: str) -> Circuit:
         name, arg, refs = m.groups()
         if name not in _KIND_OF:
             raise ToolkitError("not-in-basis", f"unsupported qasm gate {name!r}")
-        gates.append((name, float(arg) if arg else None, refs.split(",")))
+        parsed[line] = (name, float(arg) if arg else None, refs.split(","))
+        gate_lines.append(line)
 
     regs = RegisterMap.for_layout(layout, n)
     for name, wires in regs.registers:
@@ -116,8 +127,8 @@ def from_qasm(text: str) -> Circuit:
             raise ValueError(f"register {name} does not match layout {layout}")
 
     wire_of = {ref: w for w, ref in _wire_names(regs).items()}
-    instances = []
-    for name, angle, refs in gates:
+    gate_of: dict[str, GateInstance] = {}
+    for line, (name, angle, refs) in parsed.items():  # in order of first occurrence
         wires = tuple(wire_of.get(r.strip()) for r in refs)
         if None in wires:
             raise ValueError(f"{name} names a wire outside layout {layout}: {','.join(refs)}")
@@ -125,6 +136,6 @@ def from_qasm(text: str) -> Circuit:
         n_ctl, n_tgt, _ = GATE_KINDS[kind]
         if len(wires) != n_ctl + n_tgt:
             raise ValueError(f"{name} takes {n_ctl + n_tgt} operands, got {len(wires)}")
-        instances.append(GateInstance(kind, wires[:n_ctl], wires[n_ctl:], angle))
+        gate_of[line] = GateInstance(kind, wires[:n_ctl], wires[n_ctl:], angle)
     meta = {"global_phase": phase} if phase else {}
-    return Circuit(regs, tuple(instances), meta)
+    return Circuit(regs, tuple(map(gate_of.__getitem__, gate_lines)), meta)

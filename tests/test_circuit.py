@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,7 @@ from coinwalk import (
 )
 from coinwalk import build_naive, build_walsh_coin, compile_circuit, random_field
 from coinwalk.circuit import GATE_KINDS
+from coinwalk.cli import main
 from coinwalk.transpile import expand_swaps
 from oracles import euler_matrix
 
@@ -225,6 +227,23 @@ def test_depth_weights_swap_blocks():
     assert depth(expand_swaps(swap)) == 3
     assert depth(expand_swaps(cswap)) > 3
     assert [g.kind for g in expand_swaps(swap).gates] == ["cnot"] * 3
+
+
+def test_depth_of_a_wide_layout_allocates_by_the_wires_its_gates_use(tmp_path, capsys):
+    # 2^25 + 24 wires and no gate: a free layer per wire would hold 270 MB
+    doc = tmp_path / "wide.json"
+    doc.write_text('{"format": "coinwalk-circuit/1", "n": 24, "layout": "linear-ancilla", "gates": []}')
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "--circuit", str(doc), "--compile"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    report = json.loads(capsys.readouterr().out)
+    assert report["num_wires"] == (1 << 25) + 24 and report["depth"] == report["compiled"]["depth"] == 0
+    high = Circuit(RegisterMap.linear(3), [GateInstance("x", targets=(18,)), GateInstance("x", targets=(18,))], {})
+    assert depth(high) == 2
 
 
 def test_gate_counts_by_kind():

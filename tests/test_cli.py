@@ -21,7 +21,8 @@ from coinwalk import (
     random_field,
     WalkConfig,
 )
-from coinwalk import coins, linear, naive, shift, statevec, walk, walsh
+from coinwalk import circuit as cir
+from coinwalk import coins, compile_circuit, linear, naive, shift, statevec, walk, walsh
 from coinwalk.cli import _make_parser, main
 
 
@@ -270,6 +271,50 @@ def test_a_gate_record_that_breaks_a_gate_rule_exits_2(tmp_path, capsys, record,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and text in err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("analyze", '{"format": "coinwalk-circuit/1", "n": 1, "layout": "walk", "gates": %s}'),
+        ("build", '{"n": 1, "coins": %s}'),
+        ("walk", '{"n": 1, "steps": 1, "field": %s}'),
+        ("walk", '{"n": 1, "steps": 1, "field": "{\\"n\\": 1, \\"coins\\": %s}"}'),
+    ],
+    ids=["analyze", "build", "walk", "walk-field-text"],
+)
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, command, text):
+    doc = tmp_path / "deep.json"
+    doc.write_text(text % DEEP)
+    flag, out = {"analyze": ("--circuit", []), "build": ("--coin", ["--construction", "naive"]),
+                 "walk": ("--config", [])}[command]
+    argv = [command, flag, str(doc), *out] + ([] if command == "analyze" else ["--out", str(tmp_path / "out.json")])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: JSON nested too deeply") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("construction,basis", [("walsh", True), ("naive", False)])
+def test_analyze_reuses_counts_and_depth_when_the_compile_changes_nothing(
+        tmp_path, coin_spec, capsys, monkeypatch, construction, basis):
+    out = tmp_path / "c.json"
+    main(["build", "--construction", construction, "--coin", coin_spec, "--out", str(out)])
+    capsys.readouterr()
+    calls = []
+    for name in ("depth", "gate_counts"):
+        real = getattr(cir, name)
+        monkeypatch.setattr(cir, name, lambda c, real=real, name=name: calls.append(name) or real(c))
+    assert main(["analyze", "--circuit", str(out), "--compile"]) == 0
+    assert sorted(calls) == sorted(["depth", "gate_counts"] * (1 if basis else 2))
+    report = json.loads(capsys.readouterr().out)
+    circ = circuit_from_json(out.read_text())
+    compiled = compile_circuit(circ)
+    assert (compiled.gates == circ.gates) is basis
+    assert report["compiled"] == {"gates": len(compiled.gates), "gate_counts": cir.gate_counts(compiled),
+                                  "depth": cir.depth(compiled)}
 
 
 def test_shift_verify_past_the_matrix_budget_exits_0(capsys, no_large_matrices):

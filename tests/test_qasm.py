@@ -146,3 +146,27 @@ def test_parser_tolerates_noise_lines():
     noisy = "\n\n// a stray remark\n" + to_qasm(circuit).replace("\n", "\n\n")
     back = from_qasm(noisy)
     assert np.max(np.abs(unitary_with_phase(back) - unitary_with_phase(circuit))) <= 1e-12
+
+
+def test_identical_lines_share_one_gate():
+    circuit = compile_circuit(build_naive(random_field(3, seed=2)))
+    text = to_qasm(circuit)
+    back = from_qasm(text)
+    gate_lines = [line for line in text.splitlines() if line and not line.startswith(("//", "OPENQASM", "include", "qreg"))]
+    assert len(back.gates) == len(gate_lines)
+    assert len(set(back.gates)) == len(set(gate_lines)) < len(gate_lines)
+    assert to_qasm(back) == text
+
+
+def test_a_repeated_bad_line_is_reported_at_its_first_occurrence():
+    good = "rz(0.5) position[1];"
+    text = WALK2_HEADER + f"{good}\n  bogus line \n{good}\nbogus line\n"
+    with pytest.raises(ValueError, match=repr("  bogus line ")):
+        from_qasm(text)
+    # the first of two different bad gates is reported, wherever either recurs
+    text = WALK2_HEADER + f"{good}\nx position[5];\ncx position[0];\n{good}\nx position[5];\n"
+    with pytest.raises(ValueError, match="names a wire outside layout"):
+        from_qasm(text)
+    text = WALK2_HEADER + f"{good}\ncx position[0];\nx position[5];\ncx position[0];\n"
+    with pytest.raises(ValueError, match="cx takes 2 operands, got 1"):
+        from_qasm(text)
